@@ -39,22 +39,24 @@ def edge_boundary_direct(ps: PointSet) -> tuple[int, list[EdgeRecord]]:
     Returns (count, records); records are sorted and each unordered edge
     appears once since only its in-set endpoint generates it.
     """
-    dirs = directions(ps.dim) if ps.points else []
     edges = [
         EdgeRecord(p, q)
         for p in sorted(ps.points)
-        for q in (tuple(a + s for a, s in zip(p, d)) for d in dirs)
+        for q in neighbors(p)
         if q not in ps.points
     ]
     return len(edges), edges
 
 
+def exterior_vertices(ps: PointSet) -> frozenset[Point]:
+    """The points outside ps adjacent to at least one point of ps."""
+    pts = ps.points
+    return frozenset(q for p in pts for q in neighbors(p) if q not in pts)
+
+
 def exterior_vertex_boundary(ps: PointSet) -> int:
     """Number of points outside ps adjacent to at least one point of ps."""
-    outside: set[Point] = set()
-    for p in ps.points:
-        outside.update(q for q in neighbors(p) if q not in ps.points)
-    return len(outside)
+    return len(exterior_vertices(ps))
 
 
 def closed_vertex_boundary(ps: PointSet) -> int:
@@ -164,6 +166,7 @@ __all__ = [
     "EdgeRecord",
     "BoundaryBreakdown",
     "edge_boundary_direct",
+    "exterior_vertices",
     "exterior_vertex_boundary",
     "closed_vertex_boundary",
     "projection_count",

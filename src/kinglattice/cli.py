@@ -1,4 +1,4 @@
-"""Command-line surface: set files, report serialization, rendering.
+"""Command-line surface over the library and its I/O in ``formats``.
 
 This is the only module that touches stdin, stdout, or the filesystem.
 Everything here is deterministic given identical inputs, flags, and seeds.
@@ -12,258 +12,28 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Any, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
-from .core import PointSet, directions, neighbors
-from .boundary import (
-    BoundaryBreakdown,
-    edge_boundary_direct,
-    edge_boundary_formula,
-    gap_set,
+from .core import PointSet, directions
+from .boundary import edge_boundary_direct, edge_boundary_formula, gap_set
+from .compression import compress_to_fixed_point
+from .formats import (
+    ParseError,
+    _trace_dict,
+    parse_point_set,
+    render_grid,
+    serialize_point_set,
+    serialize_report,
 )
-from .compression import CompressionTrace, compress_to_fixed_point
 from .search import (
     EnumerationOverflowError,
     MAX_SETS_ENV,
     SearchReport,
-    WitnessStats,
     min_edge_boundary,
     random_point_set,
     survey_gap_free_optima,
 )
-
-SCHEMA = "kinglattice.report/1"
-
-
-class ParseError(ValueError):
-    """Malformed set file or report document."""
-
-
-def parse_point_set(text: str | bytes) -> PointSet:
-    """Read a set file: one point per line, integers separated by commas or
-    whitespace.
-
-    ``#`` starts a comment, blank lines are skipped, and an optional first
-    content line ``dim N`` declares the dimension (required when the set is
-    empty, inferred from the first point otherwise).
-    """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    dim: int | None = None
-    seen_point = False
-    points: set[tuple[int, ...]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.replace(",", " ").split()
-        if tokens[0] == "dim":
-            if seen_point or dim is not None:
-                raise ParseError(f"line {lineno}: dim header must come first")
-            if len(tokens) != 2:
-                raise ParseError(f"line {lineno}: expected 'dim N'")
-            try:
-                dim = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad dimension {tokens[1]!r}") from None
-            if dim < 1:
-                raise ParseError(f"line {lineno}: dimension must be >= 1")
-            continue
-        try:
-            p = tuple(int(t) for t in tokens)
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer coordinate in {line!r}") from None
-        if dim is None:
-            dim = len(p)
-        elif len(p) != dim:
-            raise ParseError(
-                f"line {lineno}: point has {len(p)} coordinates, expected {dim}"
-            )
-        if p in points:
-            raise ParseError(f"line {lineno}: duplicate point {p}")
-        points.add(p)
-        seen_point = True
-    if dim is None:
-        raise ParseError("empty input: need at least one point or a dim header")
-    return PointSet(dim, frozenset(points))
-
-
-def serialize_point_set(ps: PointSet) -> str:
-    """Set-file text for ps; parse_point_set inverts this exactly."""
-    lines = [f"dim {ps.dim}"]
-    lines.extend(" ".join(str(c) for c in p) for p in ps)
-    return "\n".join(lines) + "\n"
-
-
-def _points_json(ps: PointSet) -> list[list[int]]:
-    return [list(p) for p in ps]
-
-
-def _breakdown_dict(b: BoundaryBreakdown, direct_total: int | None) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "schema": SCHEMA,
-        "kind": "boundary_breakdown",
-        "dim": b.dim,
-        "per_direction": [
-            {"direction": list(d), "lines": lines, "gaps": gaps}
-            for d, (lines, gaps) in sorted(b.per_direction.items())
-        ],
-        "total": b.total,
-    }
-    if direct_total is not None:
-        doc["direct_total"] = direct_total
-        doc["agree"] = direct_total == b.total
-    return doc
-
-
-def _search_dict(r: SearchReport) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA,
-        "kind": "search_report",
-        "dimension": r.dimension,
-        "size": r.size,
-        "min_edge_boundary": r.min_edge_boundary,
-        "method": r.method,
-        "optimal": r.optimal,
-        "sets_scanned": r.sets_scanned,
-        "any_witness_gap_free": r.any_witness_gap_free,
-        "all_witnesses_gap_free": r.all_witnesses_gap_free,
-        "witnesses": [
-            {
-                "points": _points_json(w),
-                "exterior_vertex_boundary": s.exterior_vertex_boundary,
-                "fully_gap_free": s.fully_gap_free,
-            }
-            for w, s in zip(r.witnesses, r.witness_stats)
-        ],
-    }
-
-
-def serialize_report(
-    r: SearchReport | BoundaryBreakdown | list[SearchReport],
-    *,
-    direct_total: int | None = None,
-) -> str:
-    """JSON text for a report, with a fixed key order and a schema tag.
-
-    A boundary breakdown may carry the directly enumerated total alongside
-    the formula total so any disagreement is visible in the output itself.
-    A list of search reports becomes a survey document.
-    """
-    if isinstance(r, BoundaryBreakdown):
-        doc = _breakdown_dict(r, direct_total)
-    elif isinstance(r, SearchReport):
-        doc = _search_dict(r)
-    elif isinstance(r, list):
-        doc = {
-            "schema": SCHEMA,
-            "kind": "survey",
-            "rows": [_search_dict(x) for x in r],
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(r).__name__}")
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _parse_search_dict(doc: dict[str, Any]) -> SearchReport:
-    dim = doc["dimension"]
-    witnesses = tuple(
-        PointSet(dim, frozenset(tuple(p) for p in w["points"]))
-        for w in doc["witnesses"]
-    )
-    stats = tuple(
-        WitnessStats(w["exterior_vertex_boundary"], w["fully_gap_free"])
-        for w in doc["witnesses"]
-    )
-    return SearchReport(
-        dimension=dim,
-        size=doc["size"],
-        min_edge_boundary=doc["min_edge_boundary"],
-        witnesses=witnesses,
-        witness_stats=stats,
-        method=doc["method"],
-        optimal=doc["optimal"],
-        sets_scanned=doc["sets_scanned"],
-    )
-
-
-def parse_report(text: str) -> SearchReport | BoundaryBreakdown | list[SearchReport]:
-    """Inverse of serialize_report."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad report JSON: {e}") from None
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        raise ParseError(f"missing or unknown schema tag, expected {SCHEMA!r}")
-    kind = doc.get("kind")
-    if kind == "boundary_breakdown":
-        per = {
-            tuple(e["direction"]): (e["lines"], e["gaps"])
-            for e in doc["per_direction"]
-        }
-        return BoundaryBreakdown(per, doc["total"])
-    if kind == "search_report":
-        return _parse_search_dict(doc)
-    if kind == "survey":
-        return [_parse_search_dict(row) for row in doc["rows"]]
-    raise ParseError(f"unknown report kind {kind!r}")
-
-
-def render_grid(ps: PointSet, mode: str = "ascii", max_extent: int = 100) -> str:
-    """Draw a planar set with its exterior vertex neighbors.
-
-    ASCII mode marks set points with a filled dot, exterior neighbors with a
-    ring, and everything else with a middle dot, rows printed with y
-    increasing upward.  SVG mode gives the same picture as a standalone
-    document, set points blue and neighbors red.
-    """
-    if ps.dim != 2:
-        raise ValueError(f"can only render dimension 2, got {ps.dim}")
-    if not ps.points:
-        raise ValueError("cannot render an empty set")
-    outside: set[tuple[int, ...]] = set()
-    for p in ps.points:
-        outside.update(q for q in neighbors(p) if q not in ps.points)
-    everything = ps.points | outside
-    xs = [p[0] for p in everything]
-    ys = [p[1] for p in everything]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-    if x1 - x0 + 1 > max_extent or y1 - y0 + 1 > max_extent:
-        raise ValueError(
-            f"bounding box {x1 - x0 + 1}x{y1 - y0 + 1} exceeds limit {max_extent}"
-        )
-    if mode == "ascii":
-        rows = []
-        for y in range(y1, y0 - 1, -1):
-            row = []
-            for x in range(x0, x1 + 1):
-                if (x, y) in ps.points:
-                    row.append("●")
-                elif (x, y) in outside:
-                    row.append("○")
-                else:
-                    row.append("·")
-            rows.append("".join(row))
-        return "\n".join(rows) + "\n"
-    if mode == "svg":
-        cell, radius, margin = 24, 9, 24
-        width = (x1 - x0) * cell + 2 * margin
-        height = (y1 - y0) * cell + 2 * margin
-        parts = [
-            '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">',
-        ]
-        for q in sorted(everything):
-            cx = margin + (q[0] - x0) * cell
-            cy = margin + (y1 - q[1]) * cell  # svg y grows downward
-            color = "#1f77b4" if q in ps.points else "#d62728"
-            parts.append(f'  <circle cx="{cx}" cy="{cy}" r="{radius}" fill="{color}"/>')
-        parts.append("</svg>")
-        return "\n".join(parts) + "\n"
-    raise ValueError(f"unknown render mode {mode!r}")
 
 
 def _read_input(path: str) -> str:
@@ -299,26 +69,6 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
         )
         return 2
     return 0
-
-
-def _trace_dict(ps: PointSet, trace: CompressionTrace) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA,
-        "kind": "compression_trace",
-        "dim": ps.dim,
-        "initial_points": _points_json(ps),
-        "steps": [
-            {
-                "axis": s.axis,
-                "boundary_before": s.boundary_before,
-                "boundary_after": s.boundary_after,
-                "potential_before": list(s.potential_before),
-                "potential_after": list(s.potential_after),
-            }
-            for s in trace.steps
-        ],
-        "final_points": _points_json(trace.final),
-    }
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:

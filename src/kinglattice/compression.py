@@ -8,6 +8,7 @@ centered run; a lexicographic potential certifies that the iteration halts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import PointSet, insert_coordinate
@@ -33,9 +34,7 @@ def central_compress(ps: PointSet, axis: int) -> PointSet:
     """
     if not 1 <= axis <= ps.dim:
         raise IndexError(f"axis {axis} out of range 1..{ps.dim}")
-    sections: dict[tuple[int, ...], int] = {}
-    for p in ps.points:
-        sections[p[: axis - 1] + p[axis:]] = sections.get(p[: axis - 1] + p[axis:], 0) + 1
+    sections = Counter(p[: axis - 1] + p[axis:] for p in ps.points)
     out = frozenset(
         insert_coordinate(rest, x, axis)
         for rest, size in sections.items()
@@ -99,15 +98,9 @@ def compress_to_fixed_point(ps: PointSet) -> CompressionTrace:
                     f"potential did not decrease on axis {axis}: "
                     f"{pot_before} -> {pot_after}"
                 )
-            steps.append(
-                CompressionStep(
-                    axis,
-                    edge_boundary_direct(current)[0],
-                    edge_boundary_direct(nxt)[0],
-                    pot_before,
-                    pot_after,
-                )
-            )
+            before = steps[-1].boundary_after if steps else edge_boundary_direct(current)[0]
+            after = edge_boundary_direct(nxt)[0]
+            steps.append(CompressionStep(axis, before, after, pot_before, pot_after))
             current = nxt
             changed = True
     return CompressionTrace(tuple(steps), current)

@@ -10,17 +10,28 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator
 
 Point = tuple[int, ...]
 Direction = tuple[int, ...]
 
+MAX_DIMENSION = 12
+
+
+@lru_cache(maxsize=None)
+def _steps(n: int) -> tuple[Direction, ...]:
+    if not 1 <= n <= MAX_DIMENSION:
+        raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {n}")
+    return tuple(d for d in itertools.product((-1, 0, 1), repeat=n) if any(d))
+
 
 def directions(n: int) -> list[Direction]:
-    """All 3^n - 1 nonzero step vectors in {-1,0,1}^n, in lexicographic order."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return [d for d in itertools.product((-1, 0, 1), repeat=n) if any(d)]
+    """All 3^n - 1 nonzero step vectors in {-1,0,1}^n, in lexicographic order.
+
+    Dimensions above MAX_DIMENSION = 12 (531 440 steps) raise ValueError."""
+    return list(_steps(n))
 
 
 def chebyshev_distance(u: Point, v: Point) -> int:
@@ -32,7 +43,7 @@ def chebyshev_distance(u: Point, v: Point) -> int:
 
 def neighbors(p: Point) -> list[Point]:
     """The 3^n - 1 points at Chebyshev distance exactly 1 from p."""
-    return [tuple(a + s for a, s in zip(p, d)) for d in directions(len(p))]
+    return [tuple(map(add, p, d)) for d in _steps(len(p))]
 
 
 def insert_coordinate(rest: tuple[int, ...], value: int, axis: int) -> Point:

@@ -11,9 +11,10 @@ last axis in center-out order.
 
 from __future__ import annotations
 
-import itertools
+import math
 import os
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -23,6 +24,7 @@ from .boundary import (
     edge_boundary_direct,
     edge_boundary_formula,
     exterior_vertex_boundary,
+    exterior_vertices,
     gap_set,
 )
 from .compression import canonical_segment, compress_to_fixed_point
@@ -104,11 +106,15 @@ def random_point_set(
     extents = (window,) * n if isinstance(window, int) else tuple(window)
     if len(extents) != n:
         raise ValueError(f"window {extents} does not match dimension {n}")
-    cells = list(itertools.product(*(range(w) for w in extents)))
-    if len(cells) < k:
-        raise ValueError(f"window of {len(cells)} cells cannot hold {k} points")
-    rng = random.Random(seed)
-    return PointSet(n, frozenset(rng.sample(cells, k)))
+    total = math.prod(max(w, 0) for w in extents)
+    if total > sys.maxsize:
+        raise ValueError(f"window of {total} cells is too large to sample")
+    if total < k:
+        raise ValueError(f"window of {total} cells cannot hold {k} points")
+    strides = [math.prod(extents[j + 1 :]) for j in range(n)]
+    cells = random.Random(seed).sample(range(total), k)
+    pts = (tuple(i // s % w for s, w in zip(strides, extents)) for i in cells)
+    return PointSet(n, frozenset(pts))
 
 
 class WitnessStats(NamedTuple):
@@ -218,20 +224,11 @@ def min_edge_boundary(
 def _improve_once(ps: PointSet, current: int) -> PointSet | None:
     """First strictly improving single-point relocation, or None."""
     pts = ps.points
-    frontier: set[Point] = set()
-    for p in pts:
-        frontier.update(
-            tuple(a + s for a, s in zip(p, d)) for d in directions(ps.dim)
-        )
-    frontier -= pts
+    frontier = sorted(exterior_vertices(ps))
     for p in sorted(pts):
         remaining = pts - {p}
-        for q in sorted(frontier):
-            if q == p:
-                continue
+        for q in frontier:
             cand = PointSet(ps.dim, remaining | {q})
-            if len(cand) != len(ps):
-                continue
             if edge_boundary_direct(cand)[0] < current:
                 return cand
     return None
@@ -244,17 +241,12 @@ def _heuristic_min(n: int, k: int, *, seed: int, restarts: int) -> SearchReport:
     found: list[PointSet] = []
     scanned = 0
     for _ in range(max(1, restarts)):
-        ps = random_point_set(n, k, side, rng.getrandbits(64))
-        ps = compress_to_fixed_point(ps).final
-        b = _verify_candidate(ps)
-        scanned += 1
-        while True:
-            better = _improve_once(ps, b)
-            if better is None:
-                break
-            ps = compress_to_fixed_point(better).final
+        move: PointSet | None = random_point_set(n, k, side, rng.getrandbits(64))
+        while move is not None:
+            ps = compress_to_fixed_point(move).final
             b = _verify_candidate(ps)
             scanned += 1
+            move = _improve_once(ps, b)
         if best is None or b < best:
             best, found = b, [ps]
         elif b == best:

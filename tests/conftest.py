@@ -1,13 +1,24 @@
 import itertools
+import os
+from pathlib import Path
 
 import pytest
 
+import kinglattice
 from kinglattice import PointSet, random_point_set
 
 
 def box(*extents: int) -> PointSet:
     """Axis-aligned box [0, a) x [0, b) x ..."""
     return PointSet.of(itertools.product(*(range(e) for e in extents)))
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with the imported package's root first on PYTHONPATH."""
+    env = dict(os.environ)
+    root = str(Path(kinglattice.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

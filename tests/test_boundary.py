@@ -10,6 +10,7 @@ from kinglattice import (
     edge_boundary_direct,
     edge_boundary_formula,
     exterior_vertex_boundary,
+    exterior_vertices,
     gap_set,
     line_indices,
     line_sections,
@@ -217,3 +218,15 @@ def test_line_indices_lists_occupied_lines():
     assert line_indices(ps, 2) == [(0,), (3,)]
     with pytest.raises(IndexError):
         line_indices(ps, 0)
+
+
+def test_exterior_vertices_match_neighbor_count_oracle(suite_sets):
+    for ps in suite_sets:
+        outside = exterior_vertices(ps)
+        assert len(outside) == exterior_vertex_boundary(ps)
+        assert len(outside) == nb_vertex_boundary(ps.points)
+        assert outside.isdisjoint(ps.points)
+        assert all(
+            any(max(abs(a - b) for a, b in zip(p, q)) == 1 for p in ps.points)
+            for q in outside
+        )

@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +19,7 @@ from kinglattice import (
     survey_gap_free_optima,
 )
 from kinglattice.cli import main
-from conftest import box
+from conftest import box, subprocess_env
 
 
 def test_parse_plain_points():
@@ -356,3 +358,30 @@ def test_cli_is_deterministic(capsys):
     first = run_cli(capsys, *args)
     second = run_cli(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize("dim", [13, 30])
+def test_cli_boundary_refuses_high_dimension(tmp_path, capsys, dim):
+    f = tmp_path / "d.pts"
+    f.write_text(f"dim {dim}\n")
+    code, out, err = run_cli(capsys, "boundary", "--input", str(f))
+    assert code == 1
+    assert "error:" in err
+
+
+def test_cli_search_refuses_high_dimension(capsys):
+    code, out, err = run_cli(capsys, "search", "--dim", "13", "--size", "1")
+    assert code == 1
+    assert "error:" in err
+
+
+def test_cli_module_runs_without_runtime_warning():
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "kinglattice.cli",
+         "selftest", "--sets", "1"],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

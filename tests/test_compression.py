@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kinglattice.compression
 from kinglattice import (
     PointSet,
     canonical_segment,
@@ -164,3 +165,24 @@ def test_compression_monotone_under_iteration():
         s.boundary_after for s in trace.steps
     ]
     assert all(b >= a for b, a in zip(boundaries, boundaries[1:]))
+
+
+def test_trace_computes_each_boundary_once(monkeypatch, suite_sets):
+    real = kinglattice.compression.edge_boundary_direct
+    calls = []
+
+    def counted(ps):
+        calls.append(ps)
+        return real(ps)
+
+    monkeypatch.setattr(kinglattice.compression, "edge_boundary_direct", counted)
+    for ps in suite_sets:
+        calls.clear()
+        trace = compress_to_fixed_point(ps)
+        steps = trace.steps
+        assert len(calls) == (len(steps) + 1 if steps else 0)
+        if steps:
+            assert steps[0].boundary_before == real(ps)[0]
+            assert steps[-1].boundary_after == real(trace.final)[0]
+        for a, b in zip(steps, steps[1:]):
+            assert b.boundary_before == a.boundary_after

@@ -13,6 +13,7 @@ from kinglattice import (
     line_sections,
     neighbors,
 )
+from kinglattice.core import MAX_DIMENSION
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.tuples(coords, coords, coords)
@@ -201,3 +202,19 @@ def test_section_points_recover_lattice_points():
     ps = PointSet.of([(2, 5), (3, 6)])
     (sec,) = line_sections(ps, (1, 1))
     assert sorted(sec.points()) == [(2, 5), (3, 6)]
+
+
+def test_directions_refuses_dimensions_above_the_cap():
+    assert MAX_DIMENSION == 12
+    with pytest.raises(ValueError):
+        directions(MAX_DIMENSION + 1)
+    with pytest.raises(ValueError):
+        neighbors((0,) * (MAX_DIMENSION + 1))
+
+
+def test_directions_returns_a_fresh_list_in_neighbor_order():
+    ds = directions(2)
+    ds.clear()
+    assert len(directions(2)) == 8
+    assert neighbors((0, 0)) == directions(2)
+    assert neighbors((5, -1)) == [(5 + a, -1 + b) for a, b in directions(2)]

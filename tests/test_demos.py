@@ -1,0 +1,21 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import subprocess_env
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(script):
+    done = subprocess.run(
+        [sys.executable, str(script)],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,3 +1,7 @@
+import itertools
+import random
+import sys
+
 import pytest
 
 from kinglattice import (
@@ -222,3 +226,33 @@ def test_survey_planar_small_sizes():
 def test_survey_overflow_propagates():
     with pytest.raises(EnumerationOverflowError):
         survey_gap_free_optima(2, 12, max_sets=5)
+
+
+def test_random_point_set_matches_product_and_sample():
+    windows = [
+        (1,), (14,), (3, 5), (8, 8), (10, 10), (1, 7), (2, 1, 4), (8, 8, 8), (10, 10, 10)
+    ]
+    for extents in windows:
+        n = len(extents)
+        cells = list(itertools.product(*(range(w) for w in extents)))
+        for k in range(0, min(len(cells), 12) + 1):
+            for seed in range(0, 200, 7):
+                expected = frozenset(random.Random(seed).sample(cells, k))
+                assert random_point_set(n, k, extents, seed).points == expected
+    cells = list(itertools.product(range(10), range(10)))
+    assert random_point_set(2, 9, 10, 2**64 - 1).points == frozenset(
+        random.Random(2**64 - 1).sample(cells, 9)
+    )
+
+
+def test_random_point_set_draws_from_a_huge_window():
+    ps = random_point_set(4, 40, 10**4, seed=5)  # 10^16 cells, never built
+    assert len(ps) == 40
+    assert all(0 <= c < 10**4 for p in ps.points for c in p)
+    assert ps == random_point_set(4, 40, (10**4,) * 4, seed=5)
+
+
+def test_random_point_set_rejects_unsampleable_window():
+    side = 2 ** (sys.maxsize.bit_length() // 2 + 1)
+    with pytest.raises(ValueError):
+        random_point_set(2, 1, side, seed=0)

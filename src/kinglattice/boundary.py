@@ -1,10 +1,15 @@
 """Boundary quantities for finite sets in the king-move lattice graph.
 
 Two routes to the edge boundary are provided on purpose.
-``edge_boundary_direct`` enumerates exiting edges one by one.
+``edge_boundary_direct`` enumerates exiting edges one by one, and
+``edge_boundary_count`` is its count alone, without building edge records.
 ``edge_boundary_formula`` counts, for every step direction, the occupied
-lines plus the gap starts along those lines; the two totals agree on every
-finite set, and keeping both exposes that identity as a runtime check.
+lines plus the gap starts along those lines.  A direction d and its reverse
+-d cut a set into the same lines with mirrored positions, so the formula
+groups each +-d pair once and stores the counts under both.  It groups
+points by line and counts gaps from sorted positions, never through
+``neighbors``; the two totals agree on every finite set, and keeping both
+exposes that identity as a runtime check.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ from .core import (
     Direction,
     Point,
     PointSet,
-    directions,
+    _direction_pairs,
+    _line_classes,
+    _steps,
     line_sections,
     neighbors,
 )
@@ -46,6 +53,12 @@ def edge_boundary_direct(ps: PointSet) -> tuple[int, list[EdgeRecord]]:
         if q not in ps.points
     ]
     return len(edges), edges
+
+
+def edge_boundary_count(ps: PointSet) -> int:
+    """Number of edges with exactly one endpoint in ps; edge_boundary_direct's count."""
+    pts = ps.points
+    return sum(q not in pts for p in pts for q in neighbors(p))
 
 
 def exterior_vertices(ps: PointSet) -> frozenset[Point]:
@@ -104,13 +117,17 @@ class BoundaryBreakdown:
 
 def edge_boundary_formula(ps: PointSet) -> BoundaryBreakdown:
     """Edge boundary as the directionwise sum of line counts and gap counts."""
-    per: dict[Direction, tuple[int, int]] = {}
+    per = dict.fromkeys(_steps(ps.dim))  # lexicographic keys; each pair fills two
     total = 0
-    for d in directions(ps.dim):
-        sections = line_sections(ps, d)
-        gaps = sum(sec.runs() - 1 for sec in sections)
-        per[d] = (len(sections), gaps)
-        total += len(sections) + gaps
+    for d, reverse, j in _direction_pairs(ps.dim):
+        classes = _line_classes(ps.points, d, j)
+        gaps = 0
+        for ts in classes.values():
+            if len(ts) > 1:
+                ts.sort()
+                gaps += sum(b - a >= 2 for a, b in zip(ts, ts[1:]))
+        per[d] = per[reverse] = (len(classes), gaps)
+        total += 2 * (len(classes) + gaps)
     return BoundaryBreakdown(per, total)
 
 
@@ -166,6 +183,7 @@ __all__ = [
     "EdgeRecord",
     "BoundaryBreakdown",
     "edge_boundary_direct",
+    "edge_boundary_count",
     "exterior_vertices",
     "exterior_vertex_boundary",
     "closed_vertex_boundary",

@@ -16,7 +16,7 @@ import sys
 from typing import NoReturn, Sequence
 
 from .core import PointSet, directions
-from .boundary import edge_boundary_direct, edge_boundary_formula, gap_set
+from .boundary import edge_boundary_count, edge_boundary_formula, gap_set
 from .compression import compress_to_fixed_point
 from .formats import (
     ParseError,
@@ -50,7 +50,7 @@ def _load_set(args: argparse.Namespace) -> PointSet:
 def _cmd_boundary(args: argparse.Namespace) -> int:
     ps = _load_set(args)
     breakdown = edge_boundary_formula(ps)
-    direct, _ = edge_boundary_direct(ps)
+    direct = edge_boundary_count(ps)
     if args.format == "json":
         sys.stdout.write(serialize_report(breakdown, direct_total=direct))
     else:
@@ -150,7 +150,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         k = 1 + trial % 12
         side = 14 if dim == 1 else 10
         ps = random_point_set(dim, k, side, seed=args.seed + trial)
-        direct, _ = edge_boundary_direct(ps)
+        direct = edge_boundary_count(ps)
         total = edge_boundary_formula(ps).total
         if direct != total:
             failures += 1

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import PointSet, insert_coordinate
-from .boundary import edge_boundary_direct
+from .boundary import edge_boundary_count
 
 
 def canonical_segment(m: int) -> range:
@@ -92,14 +92,18 @@ def compress_to_fixed_point(ps: PointSet) -> CompressionTrace:
             nxt = central_compress(current, axis)
             if nxt.points == current.points:
                 continue
-            pot_before, pot_after = potential(current), potential(nxt)
+            if steps:
+                last = steps[-1]
+                before, pot_before = last.boundary_after, last.potential_after
+            else:
+                before, pot_before = edge_boundary_count(current), potential(current)
+            pot_after = potential(nxt)
             if pot_after >= pot_before:
                 raise RuntimeError(
                     f"potential did not decrease on axis {axis}: "
                     f"{pot_before} -> {pot_after}"
                 )
-            before = steps[-1].boundary_after if steps else edge_boundary_direct(current)[0]
-            after = edge_boundary_direct(nxt)[0]
+            after = edge_boundary_count(nxt)
             steps.append(CompressionStep(axis, before, after, pot_before, pot_after))
             current = nxt
             changed = True

@@ -34,6 +34,21 @@ def directions(n: int) -> list[Direction]:
     return list(_steps(n))
 
 
+@lru_cache(maxsize=None)
+def _direction_pairs(n: int) -> tuple[tuple[Direction, Direction, int], ...]:
+    """Each direction d whose first nonzero entry is +1, with -d and that axis.
+
+    d and -d slice a set into the same lines, so callers that only count
+    lines and gaps visit each of these (3^n - 1) / 2 pairs once.
+    """
+    pairs = []
+    for d in directions(n):
+        j = _first_axis(d)
+        if d[j] == 1:
+            pairs.append((d, tuple(-s for s in d), j))
+    return tuple(pairs)
+
+
 def chebyshev_distance(u: Point, v: Point) -> int:
     """max_i |u_i - v_i|; adjacency in the king graph means this equals 1."""
     if len(u) != len(v):
@@ -151,12 +166,31 @@ class LineSection:
         )
 
 
+def _first_axis(d: Direction) -> int:
+    return next(i for i, s in enumerate(d) if s)
+
+
 def line_base(p: Point, d: Direction) -> tuple[Point, int]:
     """Canonical representative of p's line in direction d, and p's position on it."""
-    j = next(i for i, s in enumerate(d) if s)
+    j = _first_axis(d)
     t = p[j] * d[j]  # d[j] is +-1, so this zeroes coordinate j of the base
     base = tuple(a - t * s for a, s in zip(p, d))
     return base, t
+
+
+def _line_classes(
+    points: Iterable[Point], d: Direction, j: int
+) -> dict[Point, list[int]]:
+    """Map each line base along d to the unsorted positions of points on it.
+
+    j is d's first nonzero axis; bases and positions are those of line_base.
+    """
+    s = d[j]
+    classes: dict[Point, list[int]] = {}
+    for p in points:
+        t = p[j] * s
+        classes.setdefault(tuple([a - t * c for a, c in zip(p, d)]), []).append(t)
+    return classes
 
 
 def line_sections(ps: PointSet, d: Direction) -> list[LineSection]:
@@ -169,10 +203,7 @@ def line_sections(ps: PointSet, d: Direction) -> list[LineSection]:
         raise ValueError(f"direction {d} does not have dimension {ps.dim}")
     if not any(d):
         raise ValueError("direction must be nonzero")
-    classes: dict[Point, list[int]] = {}
-    for p in ps.points:
-        base, t = line_base(p, d)
-        classes.setdefault(base, []).append(t)
+    classes = _line_classes(ps.points, d, _first_axis(d))
     return [
         LineSection(base, d, tuple(sorted(ts)))
         for base, ts in sorted(classes.items())

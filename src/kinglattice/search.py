@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 from .core import Point, PointSet, directions
 from .boundary import (
-    edge_boundary_direct,
+    edge_boundary_count,
     edge_boundary_formula,
     exterior_vertex_boundary,
     exterior_vertices,
@@ -151,7 +151,7 @@ class SearchReport:
 
 def _verify_candidate(ps: PointSet) -> int:
     """Boundary of a candidate by both computations, which must agree."""
-    direct = edge_boundary_direct(ps)[0]
+    direct = edge_boundary_count(ps)
     total = edge_boundary_formula(ps).total
     if direct != total:
         raise RuntimeError(
@@ -229,7 +229,7 @@ def _improve_once(ps: PointSet, current: int) -> PointSet | None:
         remaining = pts - {p}
         for q in frontier:
             cand = PointSet(ps.dim, remaining | {q})
-            if edge_boundary_direct(cand)[0] < current:
+            if edge_boundary_count(cand) < current:
                 return cand
     return None
 

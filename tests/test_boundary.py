@@ -1,12 +1,13 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kinglattice import (
     PointSet,
     closed_vertex_boundary,
     directions,
+    edge_boundary_count,
     edge_boundary_direct,
     edge_boundary_formula,
     exterior_vertex_boundary,
@@ -24,6 +25,21 @@ from oracle_helpers import nb_edge_boundary, nb_vertex_boundary
 small_planar_sets = st.sets(
     st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=10
 ).map(PointSet.of)
+
+# Sets in Z^1..Z^4, empty ones included; a small box makes gaps common.
+small_lattice_sets = st.integers(1, 4).flatmap(
+    lambda n: st.sets(
+        st.tuples(*[st.integers(-3, 3)] * n), max_size=14
+    ).map(lambda pts: PointSet(n, frozenset(pts)))
+)
+
+
+def with_edge_cases(test):
+    """Run ``test`` on the empty set and a singleton in every Z^1..Z^4 too."""
+    for n in range(1, 5):
+        test = example(PointSet(n))(test)
+        test = example(PointSet.of([(0,) * n]))(test)
+    return test
 
 
 def test_pair_in_line_anchor():
@@ -124,6 +140,42 @@ def test_breakdown_is_symmetric_under_direction_reversal():
     for d, (lines, gaps) in b.per_direction.items():
         rd = tuple(-s for s in d)
         assert b.per_direction[rd] == (lines, gaps)
+
+
+def section_formula(ps):
+    """Reference formula: every direction sliced on its own by line_sections."""
+    per = {}
+    for d in directions(ps.dim):
+        sections = line_sections(ps, d)
+        per[d] = (len(sections), sum(sec.runs() - 1 for sec in sections))
+    return per, sum(lines + gaps for lines, gaps in per.values())
+
+
+@settings(max_examples=150)
+@given(small_lattice_sets)
+@with_edge_cases
+def test_formula_matches_per_direction_section_definition(ps):
+    per, total = section_formula(ps)
+    b = edge_boundary_formula(ps)
+    assert b.per_direction == per
+    assert b.total == total
+
+
+@settings(max_examples=150)
+@given(small_lattice_sets)
+@with_edge_cases
+def test_breakdown_has_every_direction_and_mirrors_reversal(ps):
+    per = edge_boundary_formula(ps).per_direction
+    assert len(per) == 3**ps.dim - 1
+    for d, counts in per.items():
+        assert per[tuple(-s for s in d)] == counts
+
+
+@settings(max_examples=150)
+@given(small_lattice_sets)
+@with_edge_cases
+def test_edge_boundary_count_matches_direct(ps):
+    assert edge_boundary_count(ps) == edge_boundary_direct(ps)[0]
 
 
 def test_projection_count_singleton():

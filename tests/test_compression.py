@@ -168,14 +168,15 @@ def test_compression_monotone_under_iteration():
 
 
 def test_trace_computes_each_boundary_once(monkeypatch, suite_sets):
-    real = kinglattice.compression.edge_boundary_direct
+    real = kinglattice.boundary.edge_boundary_direct
+    count = kinglattice.compression.edge_boundary_count
     calls = []
 
     def counted(ps):
         calls.append(ps)
-        return real(ps)
+        return count(ps)
 
-    monkeypatch.setattr(kinglattice.compression, "edge_boundary_direct", counted)
+    monkeypatch.setattr(kinglattice.compression, "edge_boundary_count", counted)
     for ps in suite_sets:
         calls.clear()
         trace = compress_to_fixed_point(ps)
@@ -186,3 +187,24 @@ def test_trace_computes_each_boundary_once(monkeypatch, suite_sets):
             assert steps[-1].boundary_after == real(trace.final)[0]
         for a, b in zip(steps, steps[1:]):
             assert b.boundary_before == a.boundary_after
+
+
+def test_trace_computes_each_potential_once(monkeypatch, suite_sets):
+    real = kinglattice.compression.potential
+    calls = []
+
+    def counted(ps):
+        calls.append(ps)
+        return real(ps)
+
+    monkeypatch.setattr(kinglattice.compression, "potential", counted)
+    for ps in suite_sets:
+        calls.clear()
+        trace = compress_to_fixed_point(ps)
+        steps = trace.steps
+        assert len(calls) == (len(steps) + 1 if steps else 0)
+        if steps:
+            assert steps[0].potential_before == real(ps)
+            assert steps[-1].potential_after == real(trace.final)
+        for a, b in zip(steps, steps[1:]):
+            assert b.potential_before == a.potential_after

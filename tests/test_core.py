@@ -164,6 +164,9 @@ def test_line_sections_partition_the_set():
         recovered = [p for sec in secs for p in sec.points()]
         assert sorted(recovered) == sorted(ps.points)
         assert [s.base for s in secs] == sorted(s.base for s in secs)
+        for sec in secs:
+            for p, t in zip(sec.points(), sec.positions):
+                assert line_base(p, d) == (sec.base, t)
 
 
 def test_line_sections_diagonal_grouping():

@@ -176,6 +176,29 @@ def test_search_report_witnesses_verify():
         assert min(p[1] for p in w.points) == 0
 
 
+# ROADMAP's frozen exhaustive minima that finish quickly, with their
+# witness counts: (n, k, minimum edge boundary, witnesses).
+FROZEN_MINIMA = [
+    (2, 8, 30, 3),
+    (2, 12, 36, 1),
+    (2, 16, 42, 2),
+    (2, 20, 48, 7),
+    (3, 4, 92, 4),
+    (3, 6, 126, 3),
+    (3, 8, 152, 1),
+    (4, 4, 308, 10),
+    (4, 6, 450, 18),
+]
+
+
+@pytest.mark.parametrize("n,k,minimum,witnesses", FROZEN_MINIMA)
+def test_exhaustive_search_reproduces_frozen_minima(n, k, minimum, witnesses):
+    r = min_edge_boundary(n, k)
+    assert r.optimal
+    assert r.min_edge_boundary == minimum
+    assert len(r.witnesses) == witnesses
+
+
 def test_search_min_2_12_reproduces_octagon():
     r = min_edge_boundary(2, 12)
     assert r.min_edge_boundary == 36

@@ -15,7 +15,7 @@ import json
 import sys
 from typing import NoReturn, Sequence
 
-from .core import PointSet, directions
+from .core import PointSet, _direction_pairs
 from .boundary import edge_boundary_count, edge_boundary_formula, gap_set
 from .compression import compress_to_fixed_point
 from .formats import (
@@ -28,7 +28,7 @@ from .formats import (
 )
 from .search import (
     EnumerationOverflowError,
-    MAX_SETS_ENV,
+    DEFAULT_MAX_SETS,
     SearchReport,
     min_edge_boundary,
     random_point_set,
@@ -159,8 +159,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
                 f"direct={direct} formula={total}",
                 file=sys.stderr,
             )
-        for d in directions(dim):
-            reverse = tuple(-s for s in d)
+        for d, reverse, _ in _direction_pairs(dim):
             if len(gap_set(ps, d)) != len(gap_set(ps, reverse)):
                 failures += 1
                 print(
@@ -191,8 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="kinglattice",
         description="Edge boundaries, compression, and minimal-boundary "
         "search for finite sets in the king-move lattice graph on Z^n.",
-        epilog=f"The {MAX_SETS_ENV} environment variable sets the default "
-        "cap on enumerated compressed sets (built-in default 1000000).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -210,6 +207,15 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=("json", "plain"),
             default="plain",
             help="output format (default plain)",
+        )
+
+    def add_max_sets(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--max-sets",
+            type=int,
+            default=DEFAULT_MAX_SETS,
+            metavar="CAP",
+            help="exit 1 past CAP compressed sets (default %(default)s)",
         )
 
     p = sub.add_parser("boundary", help="edge-boundary breakdown and agreement check")
@@ -240,14 +246,14 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_false",
         help="seeded random restarts; upper bound only",
     )
-    p.add_argument("--max-sets", type=int, default=None, metavar="CAP")
+    add_max_sets(p)
     add_format(p)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("survey", help="gap-free status of optima for sizes 1..K")
     p.add_argument("--dim", type=int, required=True, metavar="N")
     p.add_argument("--size", type=int, required=True, metavar="K")
-    p.add_argument("--max-sets", type=int, default=None, metavar="CAP")
+    add_max_sets(p)
     add_format(p)
     p.set_defaults(func=_cmd_survey)
 

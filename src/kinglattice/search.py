@@ -12,11 +12,9 @@ last axis in center-out order.
 from __future__ import annotations
 
 import math
-import os
 import random
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .core import Point, PointSet, directions
@@ -29,17 +27,13 @@ from .boundary import (
 )
 from .compression import canonical_segment, compress_to_fixed_point
 
-MAX_SETS_ENV = "KINGLATTICE_MAX_SETS"
 DEFAULT_MAX_SETS = 1_000_000
+HEURISTIC_RESTARTS = 5
+_Layers = dict[tuple[int, int], tuple[frozenset[Point], ...]]
 
 
 class EnumerationOverflowError(RuntimeError):
     """Raised when an enumeration would exceed its configured cap."""
-
-
-def _max_sets_default() -> int:
-    raw = os.environ.get(MAX_SETS_ENV)
-    return int(raw) if raw else DEFAULT_MAX_SETS
 
 
 def fully_gap_free(ps: PointSet) -> bool:
@@ -47,54 +41,54 @@ def fully_gap_free(ps: PointSet) -> bool:
     return all(not gap_set(ps, d) for d in directions(ps.dim))
 
 
-@lru_cache(maxsize=None)
-def _fixed_point_family(n: int, k: int) -> tuple[frozenset[Point], ...]:
-    """All size-k sets in Z^n whose every axis section is a centered run."""
+def _fixed_point_sets(
+    n: int, k: int, layers: _Layers, chain: tuple[frozenset[Point], ...] = ()
+) -> Iterator[frozenset[Point]]:
+    """Yield each set in Z^n with centered axis sections: ``chain`` plus k points.
+
+    ``chain`` holds the layers stacked so far along the last axis.  Layer depth
+    m = 1, 2, 3, ... sits at coordinate 0, 1, -1, 2, -2, ...; a section through
+    the stack picks up exactly the layers containing its column, so sections
+    along the last axis are centered runs iff consecutive layers are nested.
+    ``layers`` memoizes the lower-dimensional families by (dimension, size).
+    """
     if n == 1:
-        return (frozenset((x,) for x in canonical_segment(k)),)
-
-    # Stack layers along the last axis.  Layer depth m = 1, 2, 3, ... sits at
-    # coordinate 0, 1, -1, 2, -2, ...; a section through the stack picks up
-    # exactly the layers containing its column, so sections along the last
-    # axis are centered runs iff consecutive layers are nested.
-    out: list[frozenset[Point]] = []
-
-    def extend(chain: list[frozenset[Point]], remaining: int) -> None:
-        if remaining == 0:
-            pts: set[Point] = set()
-            for depth, layer in enumerate(chain, start=1):
-                y = depth // 2 if depth % 2 == 0 else -(depth // 2)
-                pts.update(q + (y,) for q in layer)
-            out.append(frozenset(pts))
-            return
-        cap = min(remaining, len(chain[-1])) if chain else remaining
-        for size in range(cap, 0, -1):
-            for layer in _fixed_point_family(n - 1, size):
-                if not chain or layer <= chain[-1]:
-                    extend(chain + [layer], remaining - size)
-
-    extend([], k)
-    return tuple(out)
+        yield frozenset((x,) for x in canonical_segment(k))
+        return
+    if k == 0:
+        pts: set[Point] = set()
+        for depth, layer in enumerate(chain, start=1):
+            y = depth // 2 if depth % 2 == 0 else -(depth // 2)
+            pts.update(q + (y,) for q in layer)
+        yield frozenset(pts)
+        return
+    cap = min(k, len(chain[-1])) if chain else k
+    for size in range(cap, 0, -1):
+        if (n - 1, size) not in layers:
+            layers[n - 1, size] = tuple(_fixed_point_sets(n - 1, size, layers))
+        for layer in layers[n - 1, size]:
+            if not chain or layer <= chain[-1]:
+                yield from _fixed_point_sets(n, k - size, layers, chain + (layer,))
 
 
 def enumerate_compressed_sets(
-    n: int, k: int, max_sets: int | None = None
+    n: int, k: int, max_sets: int = DEFAULT_MAX_SETS
 ) -> Iterator[PointSet]:
-    """Yield every size-k set fixed by central compression along every axis.
+    """Lazily yield every size-k set fixed by central compression on every axis.
 
-    No two yielded sets are translates of each other, and all coordinates
-    stay within ceil(k/2) + 1 of the origin.  Exceeding ``max_sets`` raises
-    EnumerationOverflowError rather than truncating.
+    Sets are built one at a time, so ``max_sets`` bounds the work; exceeding
+    it raises EnumerationOverflowError rather than truncating.  No two sets
+    are translates of each other, and all coordinates stay within
+    ceil(k/2) + 1 of the origin.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if k < 1:
         raise ValueError(f"size must be >= 1, got {k}")
-    cap = _max_sets_default() if max_sets is None else max_sets
-    for count, pts in enumerate(_fixed_point_family(n, k), start=1):
-        if count > cap:
+    for count, pts in enumerate(_fixed_point_sets(n, k, {}), start=1):
+        if count > max_sets:
             raise EnumerationOverflowError(
-                f"more than {cap} compressed sets for n={n}, k={k}; raise the cap"
+                f"more than {max_sets} compressed sets for n={n}, k={k}; raise the cap"
             )
         yield PointSet(n, pts)
 
@@ -195,8 +189,7 @@ def min_edge_boundary(
     *,
     exhaustive: bool = True,
     seed: int = 0,
-    max_sets: int | None = None,
-    restarts: int = 5,
+    max_sets: int = DEFAULT_MAX_SETS,
 ) -> SearchReport:
     """Minimal edge boundary over all size-k subsets of Z^n.
 
@@ -218,7 +211,7 @@ def min_edge_boundary(
                 witnesses.append(ps)
         assert best is not None
         return _build_report(n, k, best, witnesses, "exhaustive", True, scanned)
-    return _heuristic_min(n, k, seed=seed, restarts=restarts)
+    return _heuristic_min(n, k, seed=seed)
 
 
 def _improve_once(ps: PointSet, current: int) -> PointSet | None:
@@ -234,13 +227,13 @@ def _improve_once(ps: PointSet, current: int) -> PointSet | None:
     return None
 
 
-def _heuristic_min(n: int, k: int, *, seed: int, restarts: int) -> SearchReport:
+def _heuristic_min(n: int, k: int, *, seed: int) -> SearchReport:
     rng = random.Random(seed)
     side = max(2, k)
     best: int | None = None
     found: list[PointSet] = []
     scanned = 0
-    for _ in range(max(1, restarts)):
+    for _ in range(HEURISTIC_RESTARTS):
         move: PointSet | None = random_point_set(n, k, side, rng.getrandbits(64))
         while move is not None:
             ps = compress_to_fixed_point(move).final
@@ -256,7 +249,7 @@ def _heuristic_min(n: int, k: int, *, seed: int, restarts: int) -> SearchReport:
 
 
 def survey_gap_free_optima(
-    n: int, k_max: int, *, max_sets: int | None = None
+    n: int, k_max: int, *, max_sets: int = DEFAULT_MAX_SETS
 ) -> list[SearchReport]:
     """Exhaustive minima for every size up to k_max, with gap diagnostics.
 

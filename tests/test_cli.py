@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,9 @@ from kinglattice import (
     serialize_report,
     survey_gap_free_optima,
 )
+import kinglattice.cli
 from kinglattice.cli import main
+from kinglattice.search import DEFAULT_MAX_SETS
 from conftest import box, subprocess_env
 
 
@@ -242,7 +245,11 @@ def test_cli_usage_error_exits_1(capsys):
 def test_cli_help_exits_0(capsys):
     code, out, err = run_cli(capsys, "--help")
     assert code == 0
-    assert "KINGLATTICE_MAX_SETS" in out
+    for command in ("search", "survey"):
+        code, out, err = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert "--max-sets CAP" in out
+        assert f"(default {DEFAULT_MAX_SETS})" in " ".join(out.split())
 
 
 def test_cli_compress_plain(tmp_path, capsys):
@@ -291,12 +298,6 @@ def test_cli_search_overflow_exits_1(capsys):
     )
     assert code == 1
     assert "cap" in err
-
-
-def test_cli_env_var_cap(capsys, monkeypatch):
-    monkeypatch.setenv("KINGLATTICE_MAX_SETS", "5")
-    code, out, err = run_cli(capsys, "search", "--dim", "2", "--size", "12")
-    assert code == 1
 
 
 def test_cli_rejects_out_of_range_seed(capsys):
@@ -351,6 +352,37 @@ def test_cli_selftest(capsys):
     code, out, err = run_cli(capsys, "selftest", "--sets", "30", "--seed", "5")
     assert code == 0
     assert "30 random sets checked, 0 failures" in out
+
+
+def test_cli_selftest_checks_each_direction_pair_once(capsys, monkeypatch):
+    calls = []
+    real = kinglattice.cli.gap_set
+
+    def counting(ps, d):
+        calls.append(d)
+        return real(ps, d)
+
+    monkeypatch.setattr(kinglattice.cli, "gap_set", counting)
+    code, out, err = run_cli(capsys, "selftest", "--sets", "9", "--seed", "5")
+    assert code == 0
+    # trial t is in dimension 1 + t % 3 and has (3^dim - 1) / 2 pairs of d, -d
+    assert len(calls) == sum(3 ** (1 + t % 3) - 1 for t in range(9))
+    # each direction of each dimension, d and -d alike, once per trial
+    assert set(Counter(calls).values()) == {3}
+
+
+def test_cli_selftest_still_catches_gap_asymmetry(capsys, monkeypatch):
+    real = kinglattice.cli.gap_set
+
+    def lopsided(ps, d):
+        first = next(s for s in d if s)
+        return real(ps, d) | {("extra",)} if first == -1 else real(ps, d)
+
+    monkeypatch.setattr(kinglattice.cli, "gap_set", lopsided)
+    code, out, err = run_cli(capsys, "selftest", "--sets", "3", "--seed", "5")
+    assert code == 2
+    assert "3 random sets checked, " in out
+    assert "GAP ASYMMETRY dim=1 k=1 trial=0 d=(1,)" in err
 
 
 def test_cli_is_deterministic(capsys):

@@ -1,6 +1,8 @@
 import itertools
 import random
+import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -18,12 +20,14 @@ from kinglattice import (
     random_point_set,
     survey_gap_free_optima,
 )
-from conftest import box
+from conftest import box, subprocess_env
 from oracle_helpers import WINDOW_FAMILY_MIN, brute_force_min, window_family_min
 
 # number of compressed fixed points by (dim, size); frozen from first runs
 FIXED_POINT_COUNTS_2D = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
 FIXED_POINT_COUNTS_3D = [1, 3, 6, 13, 24, 48, 86, 160]
+# traced-memory ceiling for an enumeration that never holds its whole family
+LAZY_PEAK_BYTES = 5_000_000
 
 
 def count_partitions(k: int) -> int:
@@ -31,6 +35,15 @@ def count_partitions(k: int) -> int:
     for part in range(1, k + 1):
         for total in range(part, k + 1):
             ways[total] += ways[total - part]
+    return ways[k]
+
+
+def count_plane_partitions(k: int) -> int:
+    ways = [1] + [0] * k
+    for part in range(1, k + 1):
+        for _ in range(part):  # the factor 1 / (1 - x^part), part times
+            for total in range(part, k + 1):
+                ways[total] += ways[total - part]
     return ways[k]
 
 
@@ -55,8 +68,17 @@ def test_enumerate_counts_match_frozen_values():
 
 def test_planar_count_equals_partition_count():
     # planar fixed points are nested row stacks, one per partition of k
-    for k in range(1, 13):
+    assert count_partitions(30) == 5604
+    for k in range(1, 31):
         assert sum(1 for _ in enumerate_compressed_sets(2, k)) == count_partitions(k)
+
+
+def test_spatial_count_equals_plane_partition_count():
+    # spatial fixed points are nested stacks of planar ones, one per plane
+    # partition of k; MacMahon: sum_k pp(k) x^k = prod_m 1 / (1 - x^m)^m
+    assert count_plane_partitions(16) == 11297
+    for k in range(1, 17):
+        assert sum(1 for _ in enumerate_compressed_sets(3, k)) == count_plane_partitions(k)
 
 
 def test_enumerate_contains_the_centered_2x2_box():
@@ -107,11 +129,55 @@ def test_enumerate_overflow_is_loud():
         list(enumerate_compressed_sets(2, 12, max_sets=10))
 
 
-def test_enumerate_cap_from_environment(monkeypatch):
-    monkeypatch.setenv("KINGLATTICE_MAX_SETS", "3")
-    with pytest.raises(EnumerationOverflowError):
-        list(enumerate_compressed_sets(2, 6))
-    assert sum(1 for _ in enumerate_compressed_sets(2, 3)) == 3
+def test_first_set_arrives_before_the_family_is_built():
+    # the whole (2, 40) family is 37 338 sets, about 190 MB when held at once
+    tracemalloc.start()
+    try:
+        first = next(enumerate_compressed_sets(2, 40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 40
+    assert peak < LAZY_PEAK_BYTES
+
+
+def test_cap_stops_enumeration_before_the_family_is_built():
+    yielded = 0
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationOverflowError):
+            for _ in enumerate_compressed_sets(3, 20, max_sets=10):
+                yielded += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert yielded == 10
+    assert peak < LAZY_PEAK_BYTES
+
+
+def test_drained_enumeration_leaves_no_family_behind():
+    # a fresh interpreter, so no earlier enumeration in this session counts
+    code = (
+        "import tracemalloc\n"
+        "tracemalloc.start()\n"
+        "from kinglattice import enumerate_compressed_sets\n"
+        "before = tracemalloc.get_traced_memory()[0]\n"
+        "count = sum(1 for _ in enumerate_compressed_sets(3, 14))\n"
+        "print(count, tracemalloc.get_traced_memory()[0] - before)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    count, retained = map(int, done.stdout.split())
+    assert count == 4167
+    # the family is about 7.5 MB; what stays is mostly the interpreter's
+    # free lists of recently released tuples
+    assert retained < 1_000_000
 
 
 def test_random_point_set_contract():

@@ -3,9 +3,18 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import kinglattice
 from kinglattice import PointSet, random_point_set
+
+
+# Sets in Z^1..Z^4, empty ones included; a small box makes gaps common.
+small_lattice_sets = st.integers(1, 4).flatmap(
+    lambda n: st.sets(
+        st.tuples(*[st.integers(-3, 3)] * n), max_size=14
+    ).map(lambda pts: PointSet(n, frozenset(pts)))
+)
 
 
 def box(*extents: int) -> PointSet:

@@ -19,19 +19,12 @@ from kinglattice import (
     projection_count,
     random_point_set,
 )
-from conftest import box
+from conftest import box, small_lattice_sets
 from oracle_helpers import nb_edge_boundary, nb_vertex_boundary
 
 small_planar_sets = st.sets(
     st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=10
 ).map(PointSet.of)
-
-# Sets in Z^1..Z^4, empty ones included; a small box makes gaps common.
-small_lattice_sets = st.integers(1, 4).flatmap(
-    lambda n: st.sets(
-        st.tuples(*[st.integers(-3, 3)] * n), max_size=14
-    ).map(lambda pts: PointSet(n, frozenset(pts)))
-)
 
 
 def with_edge_cases(test):

@@ -5,22 +5,29 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
 
 from kinglattice import (
     EnumerationOverflowError,
     PointSet,
+    WitnessStats,
     canonical_segment,
     central_compress,
     compress_to_fixed_point,
+    edge_boundary_count,
     edge_boundary_direct,
+    edge_boundary_formula,
     enumerate_compressed_sets,
     exterior_vertex_boundary,
     fully_gap_free,
+    gap_set,
     min_edge_boundary,
     random_point_set,
     survey_gap_free_optima,
 )
-from conftest import box, subprocess_env
+import kinglattice.cli
+import kinglattice.search
+from conftest import box, small_lattice_sets, subprocess_env
 from oracle_helpers import WINDOW_FAMILY_MIN, brute_force_min, window_family_min
 
 # number of compressed fixed points by (dim, size); frozen from first runs
@@ -201,6 +208,22 @@ def test_fully_gap_free_cases():
     assert fully_gap_free(PointSet.of([(0, 0), (1, 1), (2, 2)]))
 
 
+def gap_free_in_every_direction(ps):
+    steps = (d for d in itertools.product((-1, 0, 1), repeat=ps.dim) if any(d))
+    return all(not gap_set(ps, d) for d in steps)
+
+
+@settings(max_examples=150)
+@given(small_lattice_sets)
+@example(PointSet(4))
+@example(box(3, 4))
+@example(box(2, 3, 2, 2))
+@example(PointSet.of([(0, 0), (1, 1), (2, 2)]))
+@example(PointSet.of([(0, 0, 0), (1, 1, 0), (2, 2, 1), (0, 2, 2)]))
+def test_fully_gap_free_matches_all_direction_definition(ps):
+    assert fully_gap_free(ps) == gap_free_in_every_direction(ps)
+
+
 def test_min_edge_boundary_line():
     r = min_edge_boundary(1, 7)
     assert r.min_edge_boundary == 2
@@ -263,6 +286,118 @@ def test_exhaustive_search_reproduces_frozen_minima(n, k, minimum, witnesses):
     assert r.optimal
     assert r.min_edge_boundary == minimum
     assert len(r.witnesses) == witnesses
+
+
+def full_scan(n, k):
+    """Score every family member by both routes, with no orbit reduction.
+
+    Returns the minimum, the minimizers normalized and sorted as a report
+    lists them, and the number of sets scored.
+    """
+    scores = []
+    for ps in enumerate_compressed_sets(n, k):
+        direct = edge_boundary_count(ps)
+        assert edge_boundary_formula(ps).total == direct
+        scores.append((direct, ps))
+    best = min(b for b, _ in scores)
+    witnesses = sorted(
+        {ps.normalized() for b, ps in scores if b == best},
+        key=lambda ps: sorted(ps.points),
+    )
+    return best, witnesses, len(scores)
+
+
+# (12, 1) would not finish if the search walked all 12! coordinate orders.
+SCAN_CASES = [(n, k) for n, k, _, _ in FROZEN_MINIMA] + [
+    (1, 7), (5, 3), (8, 2), (12, 1)
+]
+
+
+@pytest.mark.parametrize("n,k", SCAN_CASES)
+def test_search_equals_full_scan(n, k):
+    best, witnesses, scanned = full_scan(n, k)
+    r = min_edge_boundary(n, k)
+    assert r.min_edge_boundary == best
+    assert list(r.witnesses) == witnesses
+    assert r.witness_stats == tuple(
+        WitnessStats(exterior_vertex_boundary(w), fully_gap_free(w))
+        for w in witnesses
+    )
+    assert r.sets_scanned == scanned
+
+
+def coordinate_images(ps):
+    """Every image of ps under a permutation of its coordinates."""
+    return {
+        frozenset(tuple(p[i] for i in perm) for p in ps.points)
+        for perm in itertools.permutations(range(ps.dim))
+    }
+
+
+def sorts_first_in_orbit(ps):
+    key = sorted(ps.points)
+    return all(key <= sorted(image) for image in coordinate_images(ps))
+
+
+def test_family_is_closed_under_coordinate_permutations():
+    # the search scores one member per orbit, which rests on this
+    for n, k_max in ((3, 8), (4, 6)):
+        for k in range(1, k_max + 1):
+            family = {ps.points for ps in enumerate_compressed_sets(n, k)}
+            for pts in family:
+                assert coordinate_images(PointSet(n, pts)) <= family
+
+
+def test_search_checks_each_representative_and_witness_once(monkeypatch):
+    checked = []
+    real = kinglattice.search._verify_candidate
+
+    def recording(ps):
+        checked.append(ps.points)
+        return real(ps)
+
+    monkeypatch.setattr(kinglattice.search, "_verify_candidate", recording)
+    r = min_edge_boundary(3, 12)
+    family = list(enumerate_compressed_sets(3, 12))
+    firsts = {ps.points for ps in family if sorts_first_in_orbit(ps)}
+    minimizers = {
+        ps.points
+        for ps in family
+        if edge_boundary_count(ps) == r.min_edge_boundary
+    }
+    assert r.sets_scanned == len(family) == 1479
+    assert len(firsts) == 267
+    assert minimizers - firsts  # some witnesses are not scored in the scan
+    assert len(checked) == len(firsts) + len(minimizers - firsts)
+    assert len(set(checked)) == len(checked)
+    assert set(checked) == firsts | minimizers
+
+
+def test_disagreement_on_an_unscored_witness_is_caught(monkeypatch, capsys):
+    real = kinglattice.search.edge_boundary_count
+
+    def off_by_one_unless_first(ps):
+        return real(ps) + (not sorts_first_in_orbit(ps))
+
+    monkeypatch.setattr(
+        kinglattice.search, "edge_boundary_count", off_by_one_unless_first
+    )
+    with pytest.raises(RuntimeError, match="disagree"):
+        min_edge_boundary(3, 4)
+    assert kinglattice.cli.main(["search", "--dim", "3", "--size", "4"]) == 2
+    assert "invariant violation" in capsys.readouterr().err
+
+
+def test_unscored_witness_off_the_minimum_is_caught(monkeypatch):
+    # the routes agree, but not with the boundary of the orbit's first member
+    real = kinglattice.search._verify_candidate
+
+    def shifted(ps):
+        return real(ps) + (not sorts_first_in_orbit(ps))
+
+    monkeypatch.setattr(kinglattice.search, "_verify_candidate", shifted)
+    with pytest.raises(RuntimeError, match="orbit"):
+        min_edge_boundary(3, 4)
 
 
 def test_search_min_2_12_reproduces_octagon():

@@ -43,15 +43,6 @@ for witness, stats in zip(report.witnesses, report.witness_stats):
     print(render_grid(witness))
     assert fully_gap_free(witness)
 
-# The heuristic mode gives fast upper bounds when exhaustive scanning is
-# off the table.  At size 12 its greedy single-point moves stall two edges
-# short of the optimum: no single relocation improves the 38-boundary
-# shape it reaches, even though 36 is possible.  The report says so
-# honestly via its optimal flag.
-quick = min_edge_boundary(2, 12, exhaustive=False, seed=0)
-print(f"heuristic bound: {quick.min_edge_boundary} "
-      f"(method {quick.method}, optimal flag {quick.optimal})")
-
 # Three dimensions work the same way, only with bigger constants: the
 # single point has 26 neighbors instead of 8.
 cube = min_edge_boundary(3, 8)

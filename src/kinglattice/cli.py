@@ -1,7 +1,9 @@
 """Command-line surface over the library and its I/O in ``formats``.
 
 This is the only module that touches stdin, stdout, or the filesystem.
-Everything here is deterministic given identical inputs, flags, and seeds.
+Everything here is deterministic given identical inputs and flags: ``search``
+and ``survey`` are exhaustive, and only ``selftest`` draws random sets, from
+its ``--seed``.
 
 Exit codes: 0 success, 1 usage or parse error, 2 internal invariant
 violation (the two edge-boundary computations disagreeing, or a compression
@@ -103,13 +105,7 @@ def _plain_search(r: SearchReport) -> str:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    report = min_edge_boundary(
-        args.dim,
-        args.size,
-        exhaustive=args.exhaustive,
-        seed=args.seed,
-        max_sets=args.max_sets,
-    )
+    report = min_edge_boundary(args.dim, args.size, max_sets=args.max_sets)
     if args.format == "json":
         sys.stdout.write(serialize_report(report))
     else:
@@ -228,24 +224,16 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=_cmd_compress)
 
-    p = sub.add_parser("search", help="minimal edge boundary for a dimension and size")
+    p = sub.add_parser(
+        "search",
+        help="minimal edge boundary for a dimension and size",
+        description="Proved minimal edge boundary over all size-K sets in Z^N. "
+        "Every witness is checked in all 3^N - 1 directions, so the time per "
+        "witness point grows as 3^N: --dim 12 --size 1 takes about 4 s "
+        "(CPython 3.11 on a Xeon).",
+    )
     p.add_argument("--dim", type=int, required=True, metavar="N")
     p.add_argument("--size", type=int, required=True, metavar="K")
-    p.add_argument("--seed", type=_seed, default=0, metavar="U64")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument(
-        "--exhaustive",
-        dest="exhaustive",
-        action="store_true",
-        default=True,
-        help="scan every compressed set (default)",
-    )
-    g.add_argument(
-        "--heuristic",
-        dest="exhaustive",
-        action="store_false",
-        help="seeded random restarts; upper bound only",
-    )
     add_max_sets(p)
     add_format(p)
     p.set_defaults(func=_cmd_search)

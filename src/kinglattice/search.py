@@ -1,6 +1,6 @@
 """Search for minimal-edge-boundary sets of a given size and dimension.
 
-The exhaustive mode does not scan arbitrary sets.  Axis compression maps any
+The search does not scan arbitrary sets.  Axis compression maps any
 size-k set, without raising its edge boundary, to a set whose every axis
 section is a centered run, so the minimum over all size-k sets equals the
 minimum over those fixed points.  Fixed points of a given size form a small
@@ -23,13 +23,11 @@ from .boundary import (
     edge_boundary_count,
     edge_boundary_formula,
     exterior_vertex_boundary,
-    exterior_vertices,
     gap_set,
 )
-from .compression import canonical_segment, compress_to_fixed_point
+from .compression import canonical_segment
 
 DEFAULT_MAX_SETS = 1_000_000
-HEURISTIC_RESTARTS = 5
 _Layers = dict[tuple[int, int], tuple[frozenset[Point], ...]]
 
 
@@ -125,8 +123,11 @@ class SearchReport:
     """Outcome of a minimal-edge-boundary search for one (dimension, size).
 
     Witnesses are translated so their minimum corner is the origin and come
-    with per-witness diagnostics.  ``optimal`` is set only when a completed
-    exhaustive scan proves the minimum.
+    with per-witness diagnostics.  Every search is an exhaustive scan that
+    proves the minimum, so ``method`` is "exhaustive" and ``optimal`` is
+    True.  Both fields stay in the report schema so that reports written by
+    earlier versions, which could hold an unproved upper bound with
+    ``optimal`` False, still parse.
     """
 
     dimension: int
@@ -188,8 +189,6 @@ def _build_report(
     k: int,
     best: int,
     found: list[PointSet],
-    method: str,
-    optimal: bool,
     scanned: int,
 ) -> SearchReport:
     normalized = sorted(
@@ -205,92 +204,49 @@ def _build_report(
         min_edge_boundary=best,
         witnesses=tuple(normalized),
         witness_stats=stats,
-        method=method,
-        optimal=optimal,
+        method="exhaustive",
+        optimal=True,
         sets_scanned=scanned,
     )
 
 
 def min_edge_boundary(
-    n: int,
-    k: int,
-    *,
-    exhaustive: bool = True,
-    seed: int = 0,
-    max_sets: int = DEFAULT_MAX_SETS,
+    n: int, k: int, *, max_sets: int = DEFAULT_MAX_SETS
 ) -> SearchReport:
-    """Minimal edge boundary over all size-k subsets of Z^n.
+    """Minimal edge boundary over all size-k subsets of Z^n, proved optimal.
 
-    Exhaustive mode scans the compressed fixed-point family and returns the
-    true minimum with every minimizing witness.  The family is closed under
-    coordinate permutations, which preserve the boundary, so only the member
-    that sorts first in each orbit is scored, by both routes; a scored set
-    that ties or beats the best brings its whole orbit into the witnesses,
-    and each of those other orbit members is checked by both routes once
-    after the scan.  ``sets_scanned`` counts every enumerated set.
-    Heuristic mode (seeded random restarts, greedy single-point moves,
-    compression) returns an upper bound and is labeled as such.
+    Scans the compressed fixed-point family and returns the true minimum
+    with every minimizing witness.  The family is closed under coordinate
+    permutations, which preserve the boundary, so only the member that sorts
+    first in each orbit is scored, by both routes; a scored set that ties or
+    beats the best brings its whole orbit into the witnesses, and each of
+    those other orbit members is checked by both routes once after the scan.
+    ``sets_scanned`` counts every enumerated set.
     """
-    if exhaustive:
-        best: int | None = None
-        orbits: list[list[PointSet]] = []
-        scanned = 0
-        for ps in enumerate_compressed_sets(n, k, max_sets=max_sets):
-            scanned += 1
-            orbit = _orbit_if_first(ps)
-            if orbit is None:
-                continue
-            b = _verify_candidate(ps)
-            if best is None or b < best:
-                best, orbits = b, [orbit]
-            elif b == best:
-                orbits.append(orbit)
-        assert best is not None
-        for orbit in orbits:
-            for ps in orbit[1:]:
-                b = _verify_candidate(ps)
-                if b != best:
-                    raise RuntimeError(
-                        f"witness {sorted(ps.points)} has boundary {b}, "
-                        f"but its orbit's first member has {best}"
-                    )
-        witnesses = [ps for orbit in orbits for ps in orbit]
-        return _build_report(n, k, best, witnesses, "exhaustive", True, scanned)
-    return _heuristic_min(n, k, seed=seed)
-
-
-def _improve_once(ps: PointSet, current: int) -> PointSet | None:
-    """First strictly improving single-point relocation, or None."""
-    pts = ps.points
-    frontier = sorted(exterior_vertices(ps))
-    for p in sorted(pts):
-        remaining = pts - {p}
-        for q in frontier:
-            cand = PointSet(ps.dim, remaining | {q})
-            if edge_boundary_count(cand) < current:
-                return cand
-    return None
-
-
-def _heuristic_min(n: int, k: int, *, seed: int) -> SearchReport:
-    rng = random.Random(seed)
-    side = max(2, k)
     best: int | None = None
-    found: list[PointSet] = []
+    orbits: list[list[PointSet]] = []
     scanned = 0
-    for _ in range(HEURISTIC_RESTARTS):
-        move: PointSet | None = random_point_set(n, k, side, rng.getrandbits(64))
-        while move is not None:
-            ps = compress_to_fixed_point(move).final
-            b = _verify_candidate(ps)
-            scanned += 1
-            move = _improve_once(ps, b)
+    for ps in enumerate_compressed_sets(n, k, max_sets=max_sets):
+        scanned += 1
+        orbit = _orbit_if_first(ps)
+        if orbit is None:
+            continue
+        b = _verify_candidate(ps)
         if best is None or b < best:
-            best, found = b, [ps]
+            best, orbits = b, [orbit]
         elif b == best:
-            found.append(ps)
+            orbits.append(orbit)
     assert best is not None
-    return _build_report(n, k, best, found, "heuristic", False, scanned)
+    for orbit in orbits:
+        for ps in orbit[1:]:
+            b = _verify_candidate(ps)
+            if b != best:
+                raise RuntimeError(
+                    f"witness {sorted(ps.points)} has boundary {b}, "
+                    f"but its orbit's first member has {best}"
+                )
+    witnesses = [ps for orbit in orbits for ps in orbit]
+    return _build_report(n, k, best, witnesses, scanned)
 
 
 def survey_gap_free_optima(
@@ -302,6 +258,6 @@ def survey_gap_free_optima(
     is gap-free in all directions, not just along the axes.
     """
     return [
-        min_edge_boundary(n, k, exhaustive=True, max_sets=max_sets)
+        min_edge_boundary(n, k, max_sets=max_sets)
         for k in range(1, k_max + 1)
     ]

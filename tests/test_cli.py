@@ -10,6 +10,7 @@ from kinglattice import (
     BoundaryBreakdown,
     ParseError,
     PointSet,
+    SearchReport,
     edge_boundary_formula,
     min_edge_boundary,
     parse_point_set,
@@ -139,6 +140,53 @@ def test_serialize_report_rejects_other_types():
         serialize_report({"not": "a report"})
 
 
+# A search report written before the heuristic mode was removed, verbatim.
+OLD_HEURISTIC_REPORT = """\
+{
+  "schema": "kinglattice.report/1",
+  "kind": "search_report",
+  "dimension": 2,
+  "size": 3,
+  "min_edge_boundary": 18,
+  "method": "heuristic",
+  "optimal": false,
+  "sets_scanned": 6,
+  "any_witness_gap_free": true,
+  "all_witnesses_gap_free": true,
+  "witnesses": [
+    {
+      "points": [
+        [
+          0,
+          0
+        ],
+        [
+          0,
+          1
+        ],
+        [
+          1,
+          0
+        ]
+      ],
+      "exterior_vertex_boundary": 12,
+      "fully_gap_free": true
+    }
+  ]
+}
+"""
+
+
+def test_old_heuristic_report_still_parses_and_round_trips():
+    r = parse_report(OLD_HEURISTIC_REPORT)
+    assert isinstance(r, SearchReport)
+    assert r.method == "heuristic"
+    assert r.optimal is False
+    assert (r.dimension, r.size, r.min_edge_boundary, r.sets_scanned) == (2, 3, 18, 6)
+    assert r.witnesses == (PointSet.of([(0, 0), (0, 1), (1, 0)]),)
+    assert serialize_report(r) == OLD_HEURISTIC_REPORT
+
+
 def test_parse_report_rejects_bad_documents():
     with pytest.raises(ParseError):
         parse_report("not json")
@@ -249,7 +297,12 @@ def test_cli_help_exits_0(capsys):
         code, out, err = run_cli(capsys, command, "--help")
         assert code == 0
         assert "--max-sets CAP" in out
-        assert f"(default {DEFAULT_MAX_SETS})" in " ".join(out.split())
+        text = " ".join(out.split())
+        assert f"(default {DEFAULT_MAX_SETS})" in text
+        if command == "search":
+            assert "checked in all 3^N - 1 directions" in text
+            assert "grows as 3^N" in text
+            assert "--dim 12 --size 1 takes about" in text
 
 
 def test_cli_compress_plain(tmp_path, capsys):
@@ -283,13 +336,16 @@ def test_cli_search_json_round_trips(capsys):
     assert report == min_edge_boundary(2, 12)
 
 
-def test_cli_search_heuristic_flag(capsys):
-    code, out, err = run_cli(
-        capsys, "search", "--dim", "2", "--size", "4", "--heuristic", "--seed", "3"
-    )
-    assert code == 0
-    assert "method heuristic" in out
-    assert "optimal no" in out
+@pytest.mark.parametrize(
+    "flags",
+    [["--heuristic"], ["--exhaustive"], ["--seed", "3"]],
+    ids=["heuristic", "exhaustive", "seed"],
+)
+def test_cli_search_rejects_removed_flags(capsys, flags):
+    code, out, err = run_cli(capsys, "search", "--dim", "2", "--size", "4", *flags)
+    assert code == 1
+    assert "error:" in err
+    assert out == ""
 
 
 def test_cli_search_overflow_exits_1(capsys):
@@ -301,10 +357,13 @@ def test_cli_search_overflow_exits_1(capsys):
 
 
 def test_cli_rejects_out_of_range_seed(capsys):
-    code, out, err = run_cli(
-        capsys, "search", "--dim", "1", "--size", "2", "--seed", str(2**64)
-    )
+    code, out, err = run_cli(capsys, "selftest", "--seed", str(2**64))
     assert code == 1
+    assert "seed must fit in 64 bits" in err
+    code, out, err = run_cli(
+        capsys, "selftest", "--sets", "1", "--seed", str(2**64 - 1)
+    )
+    assert code == 0
 
 
 def test_cli_survey_plain(capsys):

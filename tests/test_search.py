@@ -419,18 +419,10 @@ def test_compression_lands_inside_enumeration():
         assert final.points in family
 
 
-def test_heuristic_mode_is_deterministic_and_labeled():
-    a = min_edge_boundary(2, 5, exhaustive=False, seed=7)
-    b = min_edge_boundary(2, 5, exhaustive=False, seed=7)
-    assert a == b
-    assert a.method == "heuristic"
-    assert not a.optimal
-    assert a.min_edge_boundary >= min_edge_boundary(2, 5).min_edge_boundary
-
-
-def test_heuristic_finds_small_optima():
-    exact = min_edge_boundary(2, 4).min_edge_boundary
-    assert min_edge_boundary(2, 4, exhaustive=False, seed=3).min_edge_boundary == exact
+def test_search_has_no_mode_or_seed():
+    for knob in ({"exhaustive": False}, {"exhaustive": True}, {"seed": 0}):
+        with pytest.raises(TypeError):
+            min_edge_boundary(2, 12, **knob)
 
 
 def test_survey_line_optima_are_gap_free():

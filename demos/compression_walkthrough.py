@@ -14,7 +14,7 @@ from kinglattice import (
     canonical_segment,
     central_compress,
     compress_to_fixed_point,
-    edge_boundary_direct,
+    edge_boundary_count,
     potential,
     render_grid,
 )
@@ -28,14 +28,14 @@ for m in range(1, 6):
 scattered = PointSet.of([(0, 0), (0, 9), (4, 5), (5, 5), (2, 7)])
 print("\nbefore:")
 print(render_grid(scattered))
-print(f"boundary {edge_boundary_direct(scattered)[0]}, potential {potential(scattered)}")
+print(f"boundary {edge_boundary_count(scattered)}, potential {potential(scattered)}")
 
 # One compression along the vertical axis already tells the story: every
 # column collapses into a centered run, columns keep their sizes.
 squeezed = central_compress(scattered, 2)
 print("\nafter one vertical compression:")
 print(render_grid(squeezed))
-print(f"boundary {edge_boundary_direct(squeezed)[0]}, potential {potential(squeezed)}")
+print(f"boundary {edge_boundary_count(squeezed)}, potential {potential(squeezed)}")
 
 # Iterating to the fixed point records only the steps that changed the
 # set.  Watch the potential fall strictly while the boundary never rises.
@@ -49,7 +49,7 @@ for i, step in enumerate(trace.steps, start=1):
 
 print("\nfixed point:")
 print(render_grid(trace.final))
-print(f"boundary {edge_boundary_direct(trace.final)[0]}")
+print(f"boundary {edge_boundary_count(trace.final)}")
 
 # The fixed point is fixed for every axis at once.
 assert all(

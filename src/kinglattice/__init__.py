@@ -1,8 +1,11 @@
 """Finite-set geometry on the king-move lattice graph over Z^n.
 
-The package computes edge and vertex boundaries two independent ways,
-compresses sets to canonical fixed points without increasing their boundary,
-and searches the compressed family exhaustively for minimal-boundary sets.
+The package computes the edge boundary two independent ways, by counting
+exiting neighbour steps (``edge_boundary_count``) and by summing occupied
+lines and gaps per direction (``edge_boundary_formula``).  It also computes
+vertex boundaries, compresses sets to canonical fixed points without
+increasing their boundary, and searches the compressed family exhaustively
+for minimal-boundary sets.
 """
 
 from .core import (
@@ -20,10 +23,8 @@ from .core import (
 )
 from .boundary import (
     BoundaryBreakdown,
-    EdgeRecord,
     closed_vertex_boundary,
     edge_boundary_count,
-    edge_boundary_direct,
     edge_boundary_formula,
     exterior_vertex_boundary,
     exterior_vertices,
@@ -73,9 +74,7 @@ __all__ = [
     "delete_coordinate",
     "line_base",
     "line_sections",
-    "EdgeRecord",
     "BoundaryBreakdown",
-    "edge_boundary_direct",
     "edge_boundary_count",
     "edge_boundary_formula",
     "exterior_vertices",

@@ -1,21 +1,19 @@
 """Boundary quantities for finite sets in the king-move lattice graph.
 
 Two routes to the edge boundary are provided on purpose.
-``edge_boundary_direct`` enumerates exiting edges one by one, and
-``edge_boundary_count`` is its count alone, without building edge records.
-``edge_boundary_formula`` counts, for every step direction, the occupied
-lines plus the gap starts along those lines.  A direction d and its reverse
--d cut a set into the same lines with mirrored positions, so the formula
-groups each +-d pair once and stores the counts under both.  It groups
-points by line and counts gaps from sorted positions, never through
-``neighbors``; the two totals agree on every finite set, and keeping both
-exposes that identity as a runtime check.
+``edge_boundary_count`` walks every point's neighbors and counts the steps
+that leave the set.  ``edge_boundary_formula`` counts, for every step
+direction, the occupied lines plus the gap starts along those lines.  A
+direction d and its reverse -d cut a set into the same lines with mirrored
+positions, so the formula groups each +-d pair once and stores the counts
+under both.  It groups points by line and counts gaps from sorted
+positions, never through ``neighbors``; the two totals agree on every
+finite set, and keeping both exposes that identity as a runtime check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .core import (
     Direction,
@@ -29,34 +27,12 @@ from .core import (
 )
 
 
-class EdgeRecord(NamedTuple):
-    """A boundary edge, stored with the in-set endpoint first.
-
-    Exactly one endpoint of a boundary edge lies in the set, so this
-    orientation canonicalizes the unordered pair.
-    """
-
-    inside: Point
-    outside: Point
-
-
-def edge_boundary_direct(ps: PointSet) -> tuple[int, list[EdgeRecord]]:
-    """All edges with exactly one endpoint in ps, by brute enumeration.
-
-    Returns (count, records); records are sorted and each unordered edge
-    appears once since only its in-set endpoint generates it.
-    """
-    edges = [
-        EdgeRecord(p, q)
-        for p in sorted(ps.points)
-        for q in neighbors(p)
-        if q not in ps.points
-    ]
-    return len(edges), edges
-
-
 def edge_boundary_count(ps: PointSet) -> int:
-    """Number of edges with exactly one endpoint in ps; edge_boundary_direct's count."""
+    """Number of edges with exactly one endpoint in ps.
+
+    Walks every point's neighbors, so each edge is counted once, from its
+    in-set endpoint.
+    """
     pts = ps.points
     return sum(q not in pts for p in pts for q in neighbors(p))
 
@@ -104,7 +80,7 @@ class BoundaryBreakdown:
 
     ``per_direction`` maps every nonzero direction in {-1,0,1}^n to a pair
     (occupied-line count, gap count); ``total`` is the sum of all entries and
-    equals the directly enumerated edge-boundary size.
+    equals ``edge_boundary_count``.
     """
 
     per_direction: dict[Direction, tuple[int, int]]
@@ -180,9 +156,7 @@ def line_indices(ps: PointSet, axis: int) -> list[tuple[int, ...]]:
 
 
 __all__ = [
-    "EdgeRecord",
     "BoundaryBreakdown",
-    "edge_boundary_direct",
     "edge_boundary_count",
     "exterior_vertices",
     "exterior_vertex_boundary",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 from .core import PointSet, _direction_pairs
 from .boundary import edge_boundary_count, edge_boundary_formula, gap_set
@@ -140,6 +140,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     Also checks gap symmetry under direction reversal on every set.  Any
     mismatch is an internal invariant violation.
     """
+    if args.sets < 0:
+        raise ValueError(f"--sets must be >= 0, got {args.sets}")
     failures = 0
     for trial in range(args.sets):
         dim = 1 + trial % 3
@@ -166,14 +168,6 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 2
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; here 2 is reserved for
-    # invariant violations, so remap usage errors to 1.
-    def error(self, message: str) -> NoReturn:
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _seed(value: str) -> int:
     n = int(value)
     if not 0 <= n < 2**64:
@@ -182,7 +176,7 @@ def _seed(value: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="kinglattice",
         description="Edge boundaries, compression, and minimal-boundary "
         "search for finite sets in the king-move lattice graph on Z^n.",
@@ -269,6 +263,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
+        # argparse exits 2 on usage errors; 2 is reserved for invariant
+        # violations here.
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)

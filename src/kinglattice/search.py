@@ -87,6 +87,8 @@ def enumerate_compressed_sets(
         raise ValueError(f"dimension must be >= 1, got {n}")
     if k < 1:
         raise ValueError(f"size must be >= 1, got {k}")
+    if max_sets < 1:
+        raise ValueError(f"max_sets must be >= 1, got {max_sets}")
     for count, pts in enumerate(_fixed_point_sets(n, k, {}), start=1):
         if count > max_sets:
             raise EnumerationOverflowError(
@@ -257,6 +259,8 @@ def survey_gap_free_optima(
     Each report records whether some, and whether every, minimizing witness
     is gap-free in all directions, not just along the axes.
     """
+    if k_max < 1:
+        raise ValueError(f"size must be >= 1, got {k_max}")
     return [
         min_edge_boundary(n, k, max_sets=max_sets)
         for k in range(1, k_max + 1)

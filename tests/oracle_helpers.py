@@ -198,6 +198,41 @@ def window_family_members(k: int):
     yield from extend(0, k, 0, 0, [], 0)
 
 
+def partitions(k: int, largest: int | None = None):
+    """Yield every partition of k as a non-increasing tuple of parts."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, largest or k), 0, -1):
+        for rest in partitions(k - first, first):
+            yield (first,) + rest
+
+
+def partition_set(parts) -> frozenset:
+    """The planar set of a partition: row j has parts[j] points.
+
+    Rows sit at heights 0, 1, -1, 2, -2, ... in order, and each row is
+    centred on x = 0, with the extra point of an even row on the right.
+    """
+    pts = set()
+    for j, m in enumerate(parts):
+        y = (j + 1) // 2 if j % 2 else -(j // 2)
+        pts.update((x, y) for x in range(-((m - 1) // 2), m // 2 + 1))
+    return frozenset(pts)
+
+
+def planar_partition_min(k: int) -> tuple[int, int]:
+    """(least edge boundary over the partition sets of k, partitions reaching it).
+
+    These sets are the planar sets whose every row and column is a centred
+    run, one per partition, so the pair is the planar minimum and its
+    witness count, by neighbour counting alone.
+    """
+    values = [nb_edge_boundary(partition_set(p)) for p in partitions(k)]
+    best = min(values)
+    return best, values.count(best)
+
+
 def brute_force_min(k: int) -> int:
     """Minimum over ALL size-k subsets of a (k+1)x(k+1) window in Z^2.
 

@@ -11,7 +11,7 @@ from kinglattice import (
     central_compress,
     compress_to_fixed_point,
     directions,
-    edge_boundary_direct,
+    edge_boundary_count,
     edge_boundary_formula,
     exterior_vertex_boundary,
     gap_set,
@@ -22,7 +22,7 @@ from kinglattice import (
     random_point_set,
 )
 from conftest import box
-from oracle_helpers import brute_force_min, window_family_min
+from oracle_helpers import brute_force_min, nb_edge_boundary, window_family_min
 
 
 def report(line: str) -> None:
@@ -37,7 +37,7 @@ def test_criterion_1_formula_equals_direct_enumeration():
     for bits in range(2**9):
         pts = frozenset(c for i, c in enumerate(cells) if bits >> i & 1)
         ps = PointSet(2, pts)
-        assert edge_boundary_formula(ps).total == edge_boundary_direct(ps)[0]
+        assert edge_boundary_formula(ps).total == edge_boundary_count(ps)
         checked += 1
 
     batches = [
@@ -48,7 +48,7 @@ def test_criterion_1_formula_equals_direct_enumeration():
     for count, dim, k_max, side in batches:
         for i in range(count):
             ps = random_point_set(dim, 1 + i % k_max, side, seed=dim * 10_000 + i)
-            assert edge_boundary_formula(ps).total == edge_boundary_direct(ps)[0]
+            assert edge_boundary_formula(ps).total == edge_boundary_count(ps)
             checked += 1
 
     elapsed = time.time() - start
@@ -61,7 +61,7 @@ def test_criterion_1_formula_equals_direct_enumeration():
 
 def test_criterion_2_four_by_three_box_counts():
     b = box(4, 3)
-    direct = edge_boundary_direct(b)[0]
+    direct = edge_boundary_count(b)
     total = edge_boundary_formula(b).total
     evb = exterior_vertex_boundary(b)
     assert direct == 38
@@ -101,7 +101,7 @@ def test_criterion_4_compression_property_suite():
         k = 1 + i % 12
         side = 14 if dim == 1 else 7
         ps = random_point_set(dim, k, side, seed=40_000 + i)
-        before = edge_boundary_direct(ps)[0]
+        before = nb_edge_boundary(ps.points)
         for axis in range(1, dim + 1):
             out = central_compress(ps, axis)
             checked += 1
@@ -109,7 +109,7 @@ def test_criterion_4_compression_property_suite():
             anti = tuple(-s for s in unit)
             ok = (
                 len(out) == len(ps)
-                and edge_boundary_direct(out)[0] <= before
+                and nb_edge_boundary(out.points) <= before
                 and not gap_set(out, unit)
                 and not gap_set(out, anti)
                 and central_compress(out, axis) == out
@@ -127,7 +127,7 @@ def test_criterion_5_partial_sums_partition_the_boundary():
         dim = 2 + i % 2
         k = 1 + i % 12
         ps = random_point_set(dim, k, 6, seed=50_000 + i)
-        direct = edge_boundary_direct(ps)[0]
+        direct = edge_boundary_count(ps)
         for axis in range(1, dim + 1):
             total = sum(
                 partial_edge_boundary(ps, axis, rest, offset)
@@ -143,12 +143,12 @@ def test_criterion_5_partial_sums_partition_the_boundary():
 
 def test_criterion_6_closed_forms():
     for n in range(1, 6):
-        assert edge_boundary_direct(PointSet.of([(0,) * n]))[0] == 3**n - 1
+        assert edge_boundary_count(PointSet.of([(0,) * n])) == 3**n - 1
     for a in range(1, 11):
         for b in range(1, 11):
             expected = 6 * a + 6 * b - 4
             bx = box(a, b)
-            assert edge_boundary_direct(bx)[0] == expected
+            assert edge_boundary_count(bx) == expected
             assert edge_boundary_formula(bx).total == expected
     for k in range(1, 51):
         assert min_edge_boundary(1, k).min_edge_boundary == 2

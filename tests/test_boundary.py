@@ -8,7 +8,6 @@ from kinglattice import (
     closed_vertex_boundary,
     directions,
     edge_boundary_count,
-    edge_boundary_direct,
     edge_boundary_formula,
     exterior_vertex_boundary,
     exterior_vertices,
@@ -37,8 +36,7 @@ def with_edge_cases(test):
 
 def test_pair_in_line_anchor():
     ps = PointSet.of([(0,), (2,)])
-    count, records = edge_boundary_direct(ps)
-    assert count == 4
+    assert edge_boundary_count(ps) == 4
     assert gap_set(ps, (1,)) == frozenset({(1,)})
     assert gap_set(ps, (-1,)) == frozenset({(1,)})
 
@@ -46,26 +44,26 @@ def test_pair_in_line_anchor():
 def test_singleton_boundary_all_dimensions():
     for n in range(1, 6):
         ps = PointSet.of([(0,) * n])
-        assert edge_boundary_direct(ps)[0] == 3**n - 1
+        assert edge_boundary_count(ps) == 3**n - 1
         assert edge_boundary_formula(ps).total == 3**n - 1
         assert exterior_vertex_boundary(ps) == 3**n - 1
 
 
 def test_empty_set_has_no_boundary():
     ps = PointSet.of([], dim=2)
-    assert edge_boundary_direct(ps) == (0, [])
+    assert edge_boundary_count(ps) == 0
     assert edge_boundary_formula(ps).total == 0
     assert exterior_vertex_boundary(ps) == 0
     assert closed_vertex_boundary(ps) == 0
 
 
 def test_two_by_two_box():
-    assert edge_boundary_direct(box(2, 2))[0] == 20
+    assert edge_boundary_count(box(2, 2)) == 20
 
 
 def test_four_by_three_box_counts():
     b = box(4, 3)
-    assert edge_boundary_direct(b)[0] == 38
+    assert edge_boundary_count(b) == 38
     assert edge_boundary_formula(b).total == 38
     assert exterior_vertex_boundary(b) == 18
     assert closed_vertex_boundary(b) == 30
@@ -74,18 +72,7 @@ def test_four_by_three_box_counts():
 def test_box_closed_form_small():
     for a in range(1, 6):
         for b in range(1, 6):
-            assert edge_boundary_direct(box(a, b))[0] == 6 * a + 6 * b - 4
-
-
-def test_edge_records_are_boundary_edges():
-    ps = PointSet.of([(0, 0), (1, 0), (5, 5)])
-    count, records = edge_boundary_direct(ps)
-    assert count == len(records) == len(set(records))
-    for inside, outside in records:
-        assert inside in ps
-        assert outside not in ps
-        assert max(abs(a - b) for a, b in zip(inside, outside)) == 1
-    assert records == sorted(records)
+            assert edge_boundary_count(box(a, b)) == 6 * a + 6 * b - 4
 
 
 def test_direct_matches_neighbor_count_oracle_on_random_sets():
@@ -93,21 +80,21 @@ def test_direct_matches_neighbor_count_oracle_on_random_sets():
         dim = 1 + i % 3
         side = 12 if dim == 1 else 7
         ps = random_point_set(dim, 1 + i % 10, side, seed=i)
-        assert edge_boundary_direct(ps)[0] == nb_edge_boundary(ps.points)
+        assert edge_boundary_count(ps) == nb_edge_boundary(ps.points)
         assert exterior_vertex_boundary(ps) == nb_vertex_boundary(ps.points)
 
 
 @settings(max_examples=60)
 @given(small_planar_sets)
 def test_formula_agrees_with_direct(ps):
-    assert edge_boundary_formula(ps).total == edge_boundary_direct(ps)[0]
+    assert edge_boundary_formula(ps).total == edge_boundary_count(ps)
 
 
 @settings(max_examples=40)
 @given(small_planar_sets, st.tuples(st.integers(-8, 8), st.integers(-8, 8)))
 def test_boundary_is_translation_invariant(ps, offset):
     moved = ps.translate(offset)
-    assert edge_boundary_direct(moved)[0] == edge_boundary_direct(ps)[0]
+    assert edge_boundary_count(moved) == nb_edge_boundary(ps.points)
     assert exterior_vertex_boundary(moved) == exterior_vertex_boundary(ps)
 
 
@@ -116,7 +103,7 @@ def test_formula_agrees_on_all_subsets_of_3x3():
     for bits in range(1, 2**9):
         pts = [c for i, c in enumerate(cells) if bits >> i & 1]
         ps = PointSet.of(pts)
-        assert edge_boundary_formula(ps).total == edge_boundary_direct(ps)[0]
+        assert edge_boundary_formula(ps).total == edge_boundary_count(ps)
 
 
 def test_breakdown_entries_sum_to_total():
@@ -168,7 +155,7 @@ def test_breakdown_has_every_direction_and_mirrors_reversal(ps):
 @given(small_lattice_sets)
 @with_edge_cases
 def test_edge_boundary_count_matches_direct(ps):
-    assert edge_boundary_count(ps) == edge_boundary_direct(ps)[0]
+    assert edge_boundary_count(ps) == nb_edge_boundary(ps.points)
 
 
 def test_projection_count_singleton():
@@ -247,7 +234,7 @@ def test_partial_sums_recover_direct_count():
     for i in range(30):
         dim = 2 + i % 2
         ps = random_point_set(dim, 1 + i % 10, 5 if dim == 3 else 6, seed=300 + i)
-        direct = edge_boundary_direct(ps)[0]
+        direct = edge_boundary_count(ps)
         for axis in range(1, dim + 1):
             total = sum(
                 partial_edge_boundary(ps, axis, rest, offset)

@@ -356,6 +356,26 @@ def test_cli_search_overflow_exits_1(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survey", "--dim", "2", "--size", "0"],
+        ["survey", "--dim", "2", "--size", "-4"],
+        ["survey", "--dim", "0", "--size", "0"],
+        ["search", "--dim", "2", "--size", "4", "--max-sets", "-5"],
+        ["survey", "--dim", "2", "--size", "4", "--max-sets", "0"],
+        ["selftest", "--sets", "-3"],
+    ],
+    ids=["survey-size-0", "survey-size-neg", "survey-dim-0", "search-max-sets-neg",
+         "survey-max-sets-0", "selftest-sets-neg"],
+)
+def test_cli_rejects_bad_numbers(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "error:" in err
+    assert out == ""
+
+
 def test_cli_rejects_out_of_range_seed(capsys):
     code, out, err = run_cli(capsys, "selftest", "--seed", str(2**64))
     assert code == 1
@@ -442,6 +462,33 @@ def test_cli_selftest_still_catches_gap_asymmetry(capsys, monkeypatch):
     assert code == 2
     assert "3 random sets checked, " in out
     assert "GAP ASYMMETRY dim=1 k=1 trial=0 d=(1,)" in err
+
+
+def overcount_direct(monkeypatch):
+    real = kinglattice.cli.edge_boundary_count
+    monkeypatch.setattr(kinglattice.cli, "edge_boundary_count", lambda ps: real(ps) + 1)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_cli_boundary_reports_route_mismatch(tmp_path, capsys, monkeypatch, fmt):
+    overcount_direct(monkeypatch)
+    f = tmp_path / "b.pts"
+    f.write_text(serialize_point_set(box(4, 3)))
+    code, out, err = run_cli(capsys, "boundary", "--input", str(f), "--format", fmt)
+    assert code == 2
+    assert "invariant violation: direct 39 != formula 38" in err
+    if fmt == "json":
+        assert json.loads(out)["agree"] is False
+    else:
+        assert "agreement     MISMATCH" in out
+
+
+def test_cli_selftest_reports_route_mismatch(capsys, monkeypatch):
+    overcount_direct(monkeypatch)
+    code, out, err = run_cli(capsys, "selftest", "--sets", "3", "--seed", "5")
+    assert code == 2
+    assert "3 random sets checked, 3 failures" in out
+    assert err.count("MISMATCH dim=") == 3
 
 
 def test_cli_is_deterministic(capsys):

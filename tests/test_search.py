@@ -15,7 +15,6 @@ from kinglattice import (
     central_compress,
     compress_to_fixed_point,
     edge_boundary_count,
-    edge_boundary_direct,
     edge_boundary_formula,
     enumerate_compressed_sets,
     exterior_vertex_boundary,
@@ -28,7 +27,13 @@ from kinglattice import (
 import kinglattice.cli
 import kinglattice.search
 from conftest import box, small_lattice_sets, subprocess_env
-from oracle_helpers import WINDOW_FAMILY_MIN, brute_force_min, window_family_min
+from oracle_helpers import (
+    WINDOW_FAMILY_MIN,
+    brute_force_min,
+    nb_edge_boundary,
+    planar_partition_min,
+    window_family_min,
+)
 
 # number of compressed fixed points by (dim, size); frozen from first runs
 FIXED_POINT_COUNTS_2D = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -258,7 +263,7 @@ def test_search_report_witnesses_verify():
     assert r.sets_scanned == 11
     for w, s in zip(r.witnesses, r.witness_stats):
         assert len(w) == 6
-        assert edge_boundary_direct(w)[0] == r.min_edge_boundary
+        assert nb_edge_boundary(w.points) == r.min_edge_boundary
         assert s.exterior_vertex_boundary == exterior_vertex_boundary(w)
         assert s.fully_gap_free == fully_gap_free(w)
         assert min(p[0] for p in w.points) == 0
@@ -286,6 +291,18 @@ def test_exhaustive_search_reproduces_frozen_minima(n, k, minimum, witnesses):
     assert r.optimal
     assert r.min_edge_boundary == minimum
     assert len(r.witnesses) == witnesses
+
+
+# ROADMAP's frozen planar minima and witness counts, one size past the table.
+PLANAR_FROZEN = {k: (m, w) for n, k, m, w in FROZEN_MINIMA if n == 2} | {24: (52, 3)}
+
+
+@pytest.mark.parametrize("k", [*range(1, 19), 20, 22, 24])
+def test_planar_search_matches_partition_oracle(k):
+    oracle = planar_partition_min(k)
+    r = min_edge_boundary(2, k)
+    assert (r.min_edge_boundary, len(r.witnesses)) == oracle
+    assert PLANAR_FROZEN.get(k, oracle) == oracle
 
 
 def full_scan(n, k):
@@ -414,7 +431,7 @@ def test_compression_lands_inside_enumeration():
         k = 1 + i % 10
         ps = random_point_set(dim, k, 12 if dim == 1 else 6, seed=900 + i)
         final = compress_to_fixed_point(ps).final
-        assert edge_boundary_direct(final)[0] <= edge_boundary_direct(ps)[0]
+        assert nb_edge_boundary(final.points) <= nb_edge_boundary(ps.points)
         family = {fp.points for fp in enumerate_compressed_sets(dim, k)}
         assert final.points in family
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .core import PointSet
+from .core import PointSet, directions
 from .boundary import BoundaryBreakdown, exterior_vertices
 from .compression import CompressionTrace
 from .search import SearchReport, WitnessStats
@@ -169,21 +169,15 @@ def _trace_dict(ps: PointSet, trace: CompressionTrace) -> dict[str, Any]:
 
 
 def _parse_search_dict(doc: dict[str, Any]) -> SearchReport:
-    dim = doc["dimension"]
-    witnesses = tuple(
-        PointSet(dim, frozenset(tuple(p) for p in w["points"]))
-        for w in doc["witnesses"]
-    )
-    stats = tuple(
-        WitnessStats(w["exterior_vertex_boundary"], w["fully_gap_free"])
-        for w in doc["witnesses"]
-    )
+    dim, ws = doc["dimension"], doc["witnesses"]
     return SearchReport(
         dimension=dim,
         size=doc["size"],
         min_edge_boundary=doc["min_edge_boundary"],
-        witnesses=witnesses,
-        witness_stats=stats,
+        witnesses=tuple(PointSet(dim, frozenset(map(tuple, w["points"]))) for w in ws),
+        witness_stats=tuple(
+            WitnessStats(w["exterior_vertex_boundary"], w["fully_gap_free"]) for w in ws
+        ),
         method=doc["method"],
         optimal=doc["optimal"],
         sets_scanned=doc["sets_scanned"],
@@ -191,7 +185,7 @@ def _parse_search_dict(doc: dict[str, Any]) -> SearchReport:
 
 
 def parse_report(text: str) -> SearchReport | BoundaryBreakdown | list[SearchReport]:
-    """Inverse of serialize_report."""
+    """Inverse of serialize_report; any malformed document raises ParseError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -199,16 +193,21 @@ def parse_report(text: str) -> SearchReport | BoundaryBreakdown | list[SearchRep
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise ParseError(f"missing or unknown schema tag, expected {SCHEMA!r}")
     kind = doc.get("kind")
-    if kind == "boundary_breakdown":
-        per = {
-            tuple(e["direction"]): (e["lines"], e["gaps"])
-            for e in doc["per_direction"]
-        }
-        return BoundaryBreakdown(per, doc["total"])
-    if kind == "search_report":
-        return _parse_search_dict(doc)
-    if kind == "survey":
-        return [_parse_search_dict(row) for row in doc["rows"]]
+    try:
+        if kind == "boundary_breakdown":
+            per = {
+                tuple(e["direction"]): (e["lines"], e["gaps"])
+                for e in doc["per_direction"]
+            }
+            if sorted(per) != directions(doc["dim"]):
+                raise ValueError(f"directions do not match dim {doc['dim']}")
+            return BoundaryBreakdown(per, doc["total"])
+        if kind == "search_report":
+            return _parse_search_dict(doc)
+        if kind == "survey":
+            return [_parse_search_dict(row) for row in doc["rows"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"malformed {kind} document: {e!r}") from None
     raise ParseError(f"unknown report kind {kind!r}")
 
 

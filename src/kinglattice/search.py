@@ -16,14 +16,15 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .core import Point, PointSet, _direction_pairs
+from .core import MAX_DIMENSION, Point, PointSet
 from .boundary import (
+    BoundaryBreakdown,
     edge_boundary_count,
     edge_boundary_formula,
     exterior_vertex_boundary,
-    gap_set,
 )
 from .compression import canonical_segment
 
@@ -35,16 +36,17 @@ class EnumerationOverflowError(RuntimeError):
     """Raised when an enumeration would exceed its configured cap."""
 
 
-def fully_gap_free(ps: PointSet) -> bool:
-    """True iff ps has no gaps along any of the 3^n - 1 step directions.
+def _gap_free(b: BoundaryBreakdown) -> bool:
+    return not any(gaps for _, gaps in b.per_direction.values())
 
-    d and -d have gap sets of the same size, so one of each pair is checked.
-    """
-    return all(not gap_set(ps, d) for d, _, _ in _direction_pairs(ps.dim))
+
+def fully_gap_free(ps: PointSet) -> bool:
+    """True iff ps has no gaps along any of the 3^n - 1 step directions."""
+    return _gap_free(edge_boundary_formula(ps))
 
 
 def _fixed_point_sets(
-    n: int, k: int, layers: _Layers, chain: tuple[frozenset[Point], ...] = ()
+    n: int, k: int, layers: _Layers, cap: int, chain: tuple[frozenset[Point], ...] = ()
 ) -> Iterator[frozenset[Point]]:
     """Yield each set in Z^n with centered axis sections: ``chain`` plus k points.
 
@@ -52,7 +54,9 @@ def _fixed_point_sets(
     m = 1, 2, 3, ... sits at coordinate 0, 1, -1, 2, -2, ...; a section through
     the stack picks up exactly the layers containing its column, so sections
     along the last axis are centered runs iff consecutive layers are nested.
-    ``layers`` memoizes the lower-dimensional families by (dimension, size).
+    ``layers`` memoizes the lower-dimensional families by (dimension, size),
+    each built under ``cap``: stacking {0} layers on each size-s layer, s <= k,
+    embeds that family in the size-k one, so it passes the cap no sooner.
     """
     if n == 1:
         yield frozenset((x,) for x in canonical_segment(k))
@@ -64,13 +68,16 @@ def _fixed_point_sets(
             pts.update(q + (y,) for q in layer)
         yield frozenset(pts)
         return
-    cap = min(k, len(chain[-1])) if chain else k
-    for size in range(cap, 0, -1):
+    largest = min(k, len(chain[-1])) if chain else k
+    for size in range(largest, 0, -1):
         if (n - 1, size) not in layers:
-            layers[n - 1, size] = tuple(_fixed_point_sets(n - 1, size, layers))
+            family = tuple(islice(_fixed_point_sets(n - 1, size, layers, cap), cap + 1))
+            if len(family) > cap:
+                raise EnumerationOverflowError
+            layers[n - 1, size] = family
         for layer in layers[n - 1, size]:
             if not chain or layer <= chain[-1]:
-                yield from _fixed_point_sets(n, k - size, layers, chain + (layer,))
+                yield from _fixed_point_sets(n, k - size, layers, cap, chain + (layer,))
 
 
 def enumerate_compressed_sets(
@@ -78,23 +85,27 @@ def enumerate_compressed_sets(
 ) -> Iterator[PointSet]:
     """Lazily yield every size-k set fixed by central compression on every axis.
 
-    Sets are built one at a time, so ``max_sets`` bounds the work; exceeding
-    it raises EnumerationOverflowError rather than truncating.  No two sets
-    are translates of each other, and all coordinates stay within
-    ceil(k/2) + 1 of the origin.
+    Sets are built one at a time, so ``max_sets`` bounds the work, layer
+    families included; exceeding it raises EnumerationOverflowError rather
+    than truncating.  No two sets are translates of each other, and all
+    coordinates stay within ceil(k/2) + 1 of the origin.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    if not 1 <= n <= MAX_DIMENSION:
+        raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {n}")
     if k < 1:
         raise ValueError(f"size must be >= 1, got {k}")
     if max_sets < 1:
         raise ValueError(f"max_sets must be >= 1, got {max_sets}")
-    for count, pts in enumerate(_fixed_point_sets(n, k, {}), start=1):
-        if count > max_sets:
-            raise EnumerationOverflowError(
-                f"more than {max_sets} compressed sets for n={n}, k={k}; raise the cap"
-            )
-        yield PointSet(n, pts)
+    sets = _fixed_point_sets(n, k, {}, max_sets)
+    try:
+        for pts in islice(sets, max_sets):
+            yield PointSet(n, pts)
+        if next(sets, None) is not None:
+            raise EnumerationOverflowError
+    except EnumerationOverflowError:
+        raise EnumerationOverflowError(
+            f"more than {max_sets} compressed sets for n={n}, k={k}; raise the cap"
+        ) from None
 
 
 def random_point_set(
@@ -150,16 +161,16 @@ class SearchReport:
         return all(s.fully_gap_free for s in self.witness_stats)
 
 
-def _verify_candidate(ps: PointSet) -> int:
-    """Boundary of a candidate by both computations, which must agree."""
+def _verify_candidate(ps: PointSet) -> BoundaryBreakdown:
+    """A candidate's formula breakdown, checked against the direct count."""
     direct = edge_boundary_count(ps)
-    total = edge_boundary_formula(ps).total
-    if direct != total:
+    breakdown = edge_boundary_formula(ps)
+    if direct != breakdown.total:
         raise RuntimeError(
             f"boundary computations disagree on {sorted(ps.points)}: "
-            f"direct={direct} formula={total}"
+            f"direct={direct} formula={breakdown.total}"
         )
-    return direct
+    return breakdown
 
 
 def _orbit_if_first(ps: PointSet) -> list[PointSet] | None:
@@ -186,32 +197,6 @@ def _orbit_if_first(ps: PointSet) -> list[PointSet] | None:
     return [PointSet(ps.dim, pts) for pts in orbit]
 
 
-def _build_report(
-    n: int,
-    k: int,
-    best: int,
-    found: list[PointSet],
-    scanned: int,
-) -> SearchReport:
-    normalized = sorted(
-        {ps.normalized() for ps in found}, key=lambda ps: sorted(ps.points)
-    )
-    stats = tuple(
-        WitnessStats(exterior_vertex_boundary(ps), fully_gap_free(ps))
-        for ps in normalized
-    )
-    return SearchReport(
-        dimension=n,
-        size=k,
-        min_edge_boundary=best,
-        witnesses=tuple(normalized),
-        witness_stats=stats,
-        method="exhaustive",
-        optimal=True,
-        sets_scanned=scanned,
-    )
-
-
 def min_edge_boundary(
     n: int, k: int, *, max_sets: int = DEFAULT_MAX_SETS
 ) -> SearchReport:
@@ -223,10 +208,11 @@ def min_edge_boundary(
     first in each orbit is scored, by both routes; a scored set that ties or
     beats the best brings its whole orbit into the witnesses, and each of
     those other orbit members is checked by both routes once after the scan.
-    ``sets_scanned`` counts every enumerated set.
+    Gap diagnostics read each witness's checked breakdown.  ``sets_scanned``
+    counts every enumerated set.
     """
     best: int | None = None
-    orbits: list[list[PointSet]] = []
+    orbits: list[tuple[BoundaryBreakdown, list[PointSet]]] = []
     scanned = 0
     for ps in enumerate_compressed_sets(n, k, max_sets=max_sets):
         scanned += 1
@@ -234,21 +220,35 @@ def min_edge_boundary(
         if orbit is None:
             continue
         b = _verify_candidate(ps)
-        if best is None or b < best:
-            best, orbits = b, [orbit]
-        elif b == best:
-            orbits.append(orbit)
+        if best is None or b.total < best:
+            best, orbits = b.total, [(b, orbit)]
+        elif b.total == best:
+            orbits.append((b, orbit))
     assert best is not None
-    for orbit in orbits:
+    found = [(orbit[0].normalized(), b) for b, orbit in orbits]
+    for _, orbit in orbits:
         for ps in orbit[1:]:
             b = _verify_candidate(ps)
-            if b != best:
+            if b.total != best:
                 raise RuntimeError(
-                    f"witness {sorted(ps.points)} has boundary {b}, "
+                    f"witness {sorted(ps.points)} has boundary {b.total}, "
                     f"but its orbit's first member has {best}"
                 )
-    witnesses = [ps for orbit in orbits for ps in orbit]
-    return _build_report(n, k, best, witnesses, scanned)
+            found.append((ps.normalized(), b))
+    found.sort(key=lambda w: sorted(w[0].points))
+    return SearchReport(
+        dimension=n,
+        size=k,
+        min_edge_boundary=best,
+        witnesses=tuple(ps for ps, _ in found),
+        witness_stats=tuple(
+            WitnessStats(exterior_vertex_boundary(ps), _gap_free(b))
+            for ps, b in found
+        ),
+        method="exhaustive",
+        optimal=True,
+        sets_scanned=scanned,
+    )
 
 
 def survey_gap_free_optima(

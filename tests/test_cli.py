@@ -196,6 +196,36 @@ def test_parse_report_rejects_bad_documents():
         parse_report(json.dumps({"schema": "kinglattice.report/1", "kind": "wat"}))
 
 
+def _report_doc(kind, **fields):
+    return json.dumps({"schema": "kinglattice.report/1", "kind": kind, **fields})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _report_doc("search_report"),
+        _report_doc("survey", rows=5),
+        _report_doc("boundary_breakdown", dim=1, per_direction=[], total=0),
+        _report_doc("boundary_breakdown", per_direction=[
+            {"direction": [1], "lines": 1, "gaps": 0},
+            {"direction": [-1], "lines": 1, "gaps": 0},
+        ], total=2),
+        _report_doc("survey", rows=[{"dimension": 2}]),
+        _report_doc(
+            "search_report", dimension=2, size=1, min_edge_boundary=8,
+            method="exhaustive", optimal=True, sets_scanned=1,
+            witnesses=[{"points": [[0]], "exterior_vertex_boundary": 8,
+                        "fully_gap_free": True}],
+        ),
+    ],
+    ids=["search-no-fields", "survey-rows-int", "breakdown-no-directions",
+         "breakdown-no-dim", "survey-row-missing-fields", "witness-wrong-dim"],
+)
+def test_parse_report_rejects_malformed_fields(text):
+    with pytest.raises(ParseError, match="malformed"):
+        parse_report(text)
+
+
 def test_render_singleton_frame():
     art = render_grid(PointSet.of([(0, 0)]))
     assert art == "○○○\n○●○\n○○○\n"
@@ -365,9 +395,11 @@ def test_cli_search_overflow_exits_1(capsys):
         ["search", "--dim", "2", "--size", "4", "--max-sets", "-5"],
         ["survey", "--dim", "2", "--size", "4", "--max-sets", "0"],
         ["selftest", "--sets", "-3"],
+        ["search", "--dim", "1000", "--size", "1"],
+        ["survey", "--dim", "999", "--size", "2"],
     ],
     ids=["survey-size-0", "survey-size-neg", "survey-dim-0", "search-max-sets-neg",
-         "survey-max-sets-0", "selftest-sets-neg"],
+         "survey-max-sets-0", "selftest-sets-neg", "search-dim-1000", "survey-dim-999"],
 )
 def test_cli_rejects_bad_numbers(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -510,7 +542,7 @@ def test_cli_boundary_refuses_high_dimension(tmp_path, capsys, dim):
 def test_cli_search_refuses_high_dimension(capsys):
     code, out, err = run_cli(capsys, "search", "--dim", "13", "--size", "1")
     assert code == 1
-    assert "error:" in err
+    assert err == "error: dimension must be in 1..12, got 13\n"
 
 
 def test_cli_module_runs_without_runtime_warning():

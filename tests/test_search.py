@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from kinglattice import (
+    BoundaryBreakdown,
     EnumerationOverflowError,
     PointSet,
     WitnessStats,
@@ -24,7 +25,9 @@ from kinglattice import (
     random_point_set,
     survey_gap_free_optima,
 )
+import kinglattice.boundary
 import kinglattice.cli
+import kinglattice.core
 import kinglattice.search
 from conftest import box, small_lattice_sets, subprocess_env
 from oracle_helpers import (
@@ -132,6 +135,8 @@ def test_enumerate_is_deterministic():
 def test_enumerate_validates_arguments():
     with pytest.raises(ValueError):
         list(enumerate_compressed_sets(0, 3))
+    with pytest.raises(ValueError, match="dimension must be in 1..12"):
+        next(enumerate_compressed_sets(13, 1))
     with pytest.raises(ValueError):
         list(enumerate_compressed_sets(2, 0))
 
@@ -154,17 +159,21 @@ def test_first_set_arrives_before_the_family_is_built():
 
 
 def test_cap_stops_enumeration_before_the_family_is_built():
-    yielded = 0
-    tracemalloc.start()
-    try:
-        with pytest.raises(EnumerationOverflowError):
-            for _ in enumerate_compressed_sets(3, 20, max_sets=10):
-                yielded += 1
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert yielded == 10
-    assert peak < LAZY_PEAK_BYTES
+    # (2, 40) passes the cap in the family itself.  (3, 20) and (3, 40) pass
+    # it in their first layer family, (2, 20) with 627 sets and (2, 40) with
+    # 37 338, about 190 MB when held at once, so no set is yielded.
+    for n, k, yields in ((2, 40, 10), (3, 20, 0), (3, 40, 0)):
+        yielded = 0
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationOverflowError, match="more than 10"):
+                for _ in enumerate_compressed_sets(n, k, max_sets=10):
+                    yielded += 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert yielded == yields
+        assert peak < LAZY_PEAK_BYTES
 
 
 def test_drained_enumeration_leaves_no_family_behind():
@@ -337,7 +346,7 @@ def test_search_equals_full_scan(n, k):
     assert r.min_edge_boundary == best
     assert list(r.witnesses) == witnesses
     assert r.witness_stats == tuple(
-        WitnessStats(exterior_vertex_boundary(w), fully_gap_free(w))
+        WitnessStats(exterior_vertex_boundary(w), gap_free_in_every_direction(w))
         for w in witnesses
     )
     assert r.sets_scanned == scanned
@@ -410,11 +419,27 @@ def test_unscored_witness_off_the_minimum_is_caught(monkeypatch):
     real = kinglattice.search._verify_candidate
 
     def shifted(ps):
-        return real(ps) + (not sorts_first_in_orbit(ps))
+        b = real(ps)
+        shift = not sorts_first_in_orbit(ps)
+        return BoundaryBreakdown(b.per_direction, b.total + shift)
 
     monkeypatch.setattr(kinglattice.search, "_verify_candidate", shifted)
     with pytest.raises(RuntimeError, match="orbit"):
         min_edge_boundary(3, 4)
+
+
+def test_witness_gap_census_reads_the_checked_breakdown(monkeypatch):
+    # gap_set walks line_sections; the search must need neither
+    expected = min_edge_boundary(3, 6)
+
+    def refuse(*args):
+        raise AssertionError("a search witness got a second gap pass")
+
+    monkeypatch.setattr(kinglattice.boundary, "line_sections", refuse)
+    monkeypatch.setattr(kinglattice.core, "line_sections", refuse)
+    with pytest.raises(AssertionError):
+        gap_set(box(2, 2), (1, 0))
+    assert min_edge_boundary(3, 6) == expected
 
 
 def test_search_min_2_12_reproduces_octagon():

@@ -118,9 +118,10 @@ def partial_edge_boundary(
     The in-set endpoint must lie on the line where only the 1-based
     coordinate ``axis`` varies and the remaining coordinates equal ``rest``;
     the outside endpoint lies on the parallel line at ``rest + offset``.
-    Offsets range over all of {-1,0,1}^(n-1) including zero, and summing
-    this count over all offsets and all lines meeting the set recovers the
-    full edge boundary.
+    The count takes the ``neighbors`` of the line's points that lie outside
+    ps and on the parallel line.  Offsets range over all of {-1,0,1}^(n-1)
+    including zero, and summing this count over all offsets and all lines
+    meeting the set recovers the full edge boundary.
     """
     n = ps.dim
     if not 1 <= axis <= n:
@@ -130,21 +131,13 @@ def partial_edge_boundary(
     if any(s not in (-1, 0, 1) for s in offset):
         raise ValueError(f"offset entries must be in -1..1, got {offset}")
 
-    inside = {p[axis - 1] for p in ps.points if p[: axis - 1] + p[axis:] == rest}
-    if not inside:
-        return 0
+    pts = ps.points
     shifted = tuple(r + s for r, s in zip(rest, offset))
-    other = {p[axis - 1] for p in ps.points if p[: axis - 1] + p[axis:] == shifted}
-
-    if not any(offset):
-        # Same line: the only unit steps are +-1 along the axis.
-        return sum(
-            (x + 1 not in inside) + (x - 1 not in inside) for x in inside
-        )
-    # Parallel line one step away: any of the three aligned targets works.
     return sum(
-        (x - 1 not in other) + (x not in other) + (x + 1 not in other)
-        for x in inside
+        q not in pts and q[: axis - 1] + q[axis:] == shifted
+        for p in pts
+        if p[: axis - 1] + p[axis:] == rest
+        for q in neighbors(p)
     )
 
 
@@ -154,16 +147,3 @@ def line_indices(ps: PointSet, axis: int) -> list[tuple[int, ...]]:
         raise IndexError(f"axis {axis} out of range 1..{ps.dim}")
     return sorted({p[: axis - 1] + p[axis:] for p in ps.points})
 
-
-__all__ = [
-    "BoundaryBreakdown",
-    "edge_boundary_count",
-    "exterior_vertices",
-    "exterior_vertex_boundary",
-    "closed_vertex_boundary",
-    "projection_count",
-    "gap_set",
-    "edge_boundary_formula",
-    "partial_edge_boundary",
-    "line_indices",
-]

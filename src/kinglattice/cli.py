@@ -13,7 +13,6 @@ step failing to lower the termination potential).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
@@ -22,7 +21,6 @@ from .boundary import edge_boundary_count, edge_boundary_formula, gap_set
 from .compression import compress_to_fixed_point
 from .formats import (
     ParseError,
-    _trace_dict,
     parse_point_set,
     render_grid,
     serialize_point_set,
@@ -38,15 +36,11 @@ from .search import (
 )
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_set(args: argparse.Namespace) -> PointSet:
-    return parse_point_set(_read_input(args.input))
+    if args.input == "-":
+        return parse_point_set(sys.stdin.read())
+    with open(args.input, "r", encoding="utf-8") as fh:
+        return parse_point_set(fh.read())
 
 
 def _cmd_boundary(args: argparse.Namespace) -> int:
@@ -74,10 +68,9 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
-    ps = _load_set(args)
-    trace = compress_to_fixed_point(ps)
+    trace = compress_to_fixed_point(_load_set(args))
     if args.format == "json":
-        sys.stdout.write(json.dumps(_trace_dict(ps, trace), indent=2) + "\n")
+        sys.stdout.write(serialize_report(trace))
         return 0
     for s in trace.steps:
         print(
@@ -106,10 +99,8 @@ def _plain_search(r: SearchReport) -> str:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     report = min_edge_boundary(args.dim, args.size, max_sets=args.max_sets)
-    if args.format == "json":
-        sys.stdout.write(serialize_report(report))
-    else:
-        sys.stdout.write(_plain_search(report))
+    write = serialize_report if args.format == "json" else _plain_search
+    sys.stdout.write(write(report))
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import PointSet, insert_coordinate
+from .core import PointSet, _check_dimension, insert_coordinate
 from .boundary import edge_boundary_count
 
 
@@ -69,10 +69,13 @@ class CompressionStep:
 
 @dataclass(frozen=True)
 class CompressionTrace:
-    """The changing steps of an iterated compression, plus the fixed point."""
+    """The changing steps of an iterated compression from ``initial`` to the
+    fixed point ``final``; ``serialize_report`` writes it, ``parse_report``
+    rejects it."""
 
     steps: tuple[CompressionStep, ...]
     final: PointSet
+    initial: PointSet
 
 
 def compress_to_fixed_point(ps: PointSet) -> CompressionTrace:
@@ -81,10 +84,13 @@ def compress_to_fixed_point(ps: PointSet) -> CompressionTrace:
     Every recorded step changed the set; each strictly lowers the potential
     (checked) and never raises the edge boundary, so the final set has the
     original size, an edge boundary no larger than the original, and no gaps
-    along any coordinate axis.
+    along any coordinate axis.  Dimensions outside 1..12 raise ValueError
+    before any work.
     """
+    _check_dimension(ps.dim)
     steps: list[CompressionStep] = []
     current = ps
+    before = pot_before = None  # measured at the first changing step only
     changed = True
     while changed:
         changed = False
@@ -92,10 +98,7 @@ def compress_to_fixed_point(ps: PointSet) -> CompressionTrace:
             nxt = central_compress(current, axis)
             if nxt.points == current.points:
                 continue
-            if steps:
-                last = steps[-1]
-                before, pot_before = last.boundary_after, last.potential_after
-            else:
+            if before is None:
                 before, pot_before = edge_boundary_count(current), potential(current)
             pot_after = potential(nxt)
             if pot_after >= pot_before:
@@ -105,6 +108,6 @@ def compress_to_fixed_point(ps: PointSet) -> CompressionTrace:
                 )
             after = edge_boundary_count(nxt)
             steps.append(CompressionStep(axis, before, after, pot_before, pot_after))
-            current = nxt
+            current, before, pot_before = nxt, after, pot_after
             changed = True
-    return CompressionTrace(tuple(steps), current)
+    return CompressionTrace(tuple(steps), current, ps)

@@ -20,10 +20,14 @@ Direction = tuple[int, ...]
 MAX_DIMENSION = 12
 
 
-@lru_cache(maxsize=None)
-def _steps(n: int) -> tuple[Direction, ...]:
+def _check_dimension(n: int) -> None:
     if not 1 <= n <= MAX_DIMENSION:
         raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {n}")
+
+
+@lru_cache(maxsize=None)
+def _steps(n: int) -> tuple[Direction, ...]:
+    _check_dimension(n)
     return tuple(d for d in itertools.product((-1, 0, 1), repeat=n) if any(d))
 
 

@@ -122,38 +122,12 @@ def _search_dict(r: SearchReport) -> dict[str, Any]:
     }
 
 
-def serialize_report(
-    r: SearchReport | BoundaryBreakdown | list[SearchReport],
-    *,
-    direct_total: int | None = None,
-) -> str:
-    """JSON text for a report, with a fixed key order and a schema tag.
-
-    A boundary breakdown may carry the directly enumerated total alongside
-    the formula total so any disagreement is visible in the output itself.
-    A list of search reports becomes a survey document.
-    """
-    if isinstance(r, BoundaryBreakdown):
-        doc = _breakdown_dict(r, direct_total)
-    elif isinstance(r, SearchReport):
-        doc = _search_dict(r)
-    elif isinstance(r, list):
-        doc = {
-            "schema": SCHEMA,
-            "kind": "survey",
-            "rows": [_search_dict(x) for x in r],
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(r).__name__}")
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _trace_dict(ps: PointSet, trace: CompressionTrace) -> dict[str, Any]:
+def _trace_dict(trace: CompressionTrace) -> dict[str, Any]:
     return {
         "schema": SCHEMA,
         "kind": "compression_trace",
-        "dim": ps.dim,
-        "initial_points": _points_json(ps),
+        "dim": trace.initial.dim,
+        "initial_points": _points_json(trace.initial),
         "steps": [
             {
                 "axis": s.axis,
@@ -168,20 +142,63 @@ def _trace_dict(ps: PointSet, trace: CompressionTrace) -> dict[str, Any]:
     }
 
 
+def serialize_report(
+    r: SearchReport | BoundaryBreakdown | CompressionTrace | list[SearchReport],
+    *,
+    direct_total: int | None = None,
+) -> str:
+    """JSON text for a report, with a fixed key order and a schema tag.
+
+    A boundary breakdown may carry the directly enumerated total alongside
+    the formula total so any disagreement is visible in the output itself.
+    A list of search reports becomes a survey document.  A compression trace
+    is written but never parsed back.
+    """
+    if isinstance(r, BoundaryBreakdown):
+        doc = _breakdown_dict(r, direct_total)
+    elif isinstance(r, SearchReport):
+        doc = _search_dict(r)
+    elif isinstance(r, CompressionTrace):
+        doc = _trace_dict(r)
+    elif isinstance(r, list):
+        doc = {
+            "schema": SCHEMA,
+            "kind": "survey",
+            "rows": [_search_dict(x) for x in r],
+        }
+    else:
+        raise TypeError(f"cannot serialize {type(r).__name__}")
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _typed(v: Any, kind: type) -> Any:
+    if type(v) is not kind or v < 0:  # exact type: a JSON true is no count
+        raise ValueError(f"bad {kind.__name__} value {v!r}")
+    return v
+
+
 def _parse_search_dict(doc: dict[str, Any]) -> SearchReport:
     dim, ws = doc["dimension"], doc["witnesses"]
-    return SearchReport(
+    r = SearchReport(
         dimension=dim,
-        size=doc["size"],
-        min_edge_boundary=doc["min_edge_boundary"],
+        size=_typed(doc["size"], int),
+        min_edge_boundary=_typed(doc["min_edge_boundary"], int),
         witnesses=tuple(PointSet(dim, frozenset(map(tuple, w["points"]))) for w in ws),
         witness_stats=tuple(
-            WitnessStats(w["exterior_vertex_boundary"], w["fully_gap_free"]) for w in ws
+            WitnessStats(
+                _typed(w["exterior_vertex_boundary"], int),
+                _typed(w["fully_gap_free"], bool),
+            )
+            for w in ws
         ),
         method=doc["method"],
         optimal=doc["optimal"],
-        sets_scanned=doc["sets_scanned"],
+        sets_scanned=_typed(doc["sets_scanned"], int),
     )
+    for key in ("any_witness_gap_free", "all_witnesses_gap_free"):
+        if _typed(doc[key], bool) != getattr(r, key):
+            raise ValueError(f"{key} contradicts the witnesses")
+    return r
 
 
 def parse_report(text: str) -> SearchReport | BoundaryBreakdown | list[SearchReport]:
@@ -195,13 +212,17 @@ def parse_report(text: str) -> SearchReport | BoundaryBreakdown | list[SearchRep
     kind = doc.get("kind")
     try:
         if kind == "boundary_breakdown":
+            entries = doc["per_direction"]
             per = {
-                tuple(e["direction"]): (e["lines"], e["gaps"])
-                for e in doc["per_direction"]
+                tuple(e["direction"]): (_typed(e["lines"], int), _typed(e["gaps"], int))
+                for e in entries
             }
-            if sorted(per) != directions(doc["dim"]):
+            if len(per) != len(entries) or sorted(per) != directions(doc["dim"]):
                 raise ValueError(f"directions do not match dim {doc['dim']}")
-            return BoundaryBreakdown(per, doc["total"])
+            total = _typed(doc["total"], int)
+            if total != sum(map(sum, per.values())):
+                raise ValueError(f"total {total} is not the sum of the entries")
+            return BoundaryBreakdown(per, total)
         if kind == "search_report":
             return _parse_search_dict(doc)
         if kind == "survey":

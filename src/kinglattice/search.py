@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .core import MAX_DIMENSION, Point, PointSet
+from .core import Point, PointSet, _check_dimension
 from .boundary import (
     BoundaryBreakdown,
     edge_boundary_count,
@@ -90,8 +90,7 @@ def enumerate_compressed_sets(
     than truncating.  No two sets are translates of each other, and all
     coordinates stay within ceil(k/2) + 1 of the origin.
     """
-    if not 1 <= n <= MAX_DIMENSION:
-        raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {n}")
+    _check_dimension(n)
     if k < 1:
         raise ValueError(f"size must be >= 1, got {k}")
     if max_sets < 1:

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kinglattice.boundary
 from kinglattice import (
     PointSet,
     closed_vertex_boundary,
@@ -14,6 +15,7 @@ from kinglattice import (
     gap_set,
     line_indices,
     line_sections,
+    neighbors,
     partial_edge_boundary,
     projection_count,
     random_point_set,
@@ -230,18 +232,37 @@ def test_partial_edge_boundary_between_adjacent_lines():
     assert partial_edge_boundary(ps, 1, (0,), (-1,)) == 3
 
 
+def test_partial_edge_boundary_steps_through_neighbors(monkeypatch):
+    calls = []
+
+    def recording(p):
+        calls.append(p)
+        return neighbors(p)
+
+    monkeypatch.setattr(kinglattice.boundary, "neighbors", recording)
+    ps = PointSet.of([(0, 0), (1, 0), (3, 0)])
+    assert partial_edge_boundary(ps, 1, (0,), (0,)) == 4
+    assert calls
+    ps = PointSet.of([(0, 0), (0, 1)])
+    assert partial_edge_boundary(ps, 1, (0,), (1,)) == 2
+    assert partial_edge_boundary(ps, 1, (0,), (-1,)) == 3
+    assert partial_edge_boundary(ps, 1, (9,), (0,)) == 0
+    assert set(calls) == {(0, 0), (1, 0), (3, 0)}
+
+
 def test_partial_sums_recover_direct_count():
     for i in range(30):
         dim = 2 + i % 2
         ps = random_point_set(dim, 1 + i % 10, 5 if dim == 3 else 6, seed=300 + i)
         direct = edge_boundary_count(ps)
+        oracle = nb_edge_boundary(ps.points)  # steps points without the package
         for axis in range(1, dim + 1):
             total = sum(
                 partial_edge_boundary(ps, axis, rest, offset)
                 for rest in line_indices(ps, axis)
                 for offset in itertools.product((-1, 0, 1), repeat=dim - 1)
             )
-            assert total == direct
+            assert total == direct == oracle
 
 
 def test_line_indices_lists_occupied_lines():

@@ -11,16 +11,19 @@ from kinglattice import (
     ParseError,
     PointSet,
     SearchReport,
+    compress_to_fixed_point,
     edge_boundary_formula,
     min_edge_boundary,
     parse_point_set,
     parse_report,
+    random_point_set,
     render_grid,
     serialize_point_set,
     serialize_report,
     survey_gap_free_optima,
 )
 import kinglattice.cli
+import kinglattice.compression
 from kinglattice.cli import main
 from kinglattice.search import DEFAULT_MAX_SETS
 from conftest import box, subprocess_env
@@ -70,6 +73,11 @@ def test_parse_header_must_come_first():
 def test_parse_rejects_empty_input():
     with pytest.raises(ParseError):
         parse_point_set("# nothing here\n")
+
+
+def test_parse_dim_header_takes_one_number():
+    with pytest.raises(ParseError, match="line 1: expected 'dim N'"):
+        parse_point_set("dim 2 3\n")
 
 
 def test_parse_rejects_bad_dim():
@@ -200,6 +208,33 @@ def _report_doc(kind, **fields):
     return json.dumps({"schema": "kinglattice.report/1", "kind": kind, **fields})
 
 
+def _singleton_breakdown(edit):
+    """A serialized breakdown of the origin in Z^2, after ``edit(doc)``."""
+    doc = json.loads(serialize_report(edge_boundary_formula(PointSet.of([(0, 0)]))))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _gap_free_search(flags=True, **witness):
+    """A search report for the origin in Z^1, its witness fields overridden."""
+    w = {"points": [[0]], "exterior_vertex_boundary": 2, "fully_gap_free": True}
+    return _report_doc(
+        "search_report", dimension=1, size=1, min_edge_boundary=2,
+        method="exhaustive", optimal=True, sets_scanned=1,
+        any_witness_gap_free=flags, all_witnesses_gap_free=flags,
+        witnesses=[{**w, **witness}],
+    )
+
+
+def test_parse_report_accepts_the_unedited_documents():
+    assert parse_report(_singleton_breakdown(lambda doc: None)).total == 8
+    assert parse_report(_gap_free_search()).witness_stats[0].fully_gap_free is True
+
+
+def _set_first_entry(key, value):
+    return lambda doc: doc["per_direction"][0].update({key: value})
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -217,9 +252,21 @@ def _report_doc(kind, **fields):
             witnesses=[{"points": [[0]], "exterior_vertex_boundary": 8,
                         "fully_gap_free": True}],
         ),
+        _singleton_breakdown(lambda doc: doc.update(total=999)),
+        _singleton_breakdown(_set_first_entry("lines", "x")),
+        _singleton_breakdown(_set_first_entry("gaps", -5)),
+        _singleton_breakdown(_set_first_entry("lines", True)),
+        _singleton_breakdown(lambda doc: doc["per_direction"].append(
+            dict(doc["per_direction"][0]))),
+        _gap_free_search(flags=False),
+        _gap_free_search(exterior_vertex_boundary="many"),
+        _gap_free_search(fully_gap_free="maybe"),
     ],
     ids=["search-no-fields", "survey-rows-int", "breakdown-no-directions",
-         "breakdown-no-dim", "survey-row-missing-fields", "witness-wrong-dim"],
+         "breakdown-no-dim", "survey-row-missing-fields", "witness-wrong-dim",
+         "breakdown-total-not-sum", "breakdown-lines-str", "breakdown-gaps-negative",
+         "breakdown-lines-bool", "breakdown-duplicate-direction",
+         "search-flags-contradict-witnesses", "witness-evb-str", "witness-gap-free-str"],
 )
 def test_parse_report_rejects_malformed_fields(text):
     with pytest.raises(ParseError, match="malformed"):
@@ -258,6 +305,11 @@ def test_render_errors():
         render_grid(PointSet.of([], dim=2))
     with pytest.raises(ValueError):
         render_grid(PointSet.of([(0, 0), (50, 50)]), max_extent=10)
+
+
+def test_render_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown render mode 'png'"):
+        render_grid(box(2, 2), mode="png")
 
 
 def test_render_svg_document():
@@ -354,6 +406,49 @@ def test_cli_compress_json(tmp_path, capsys):
     assert sorted(map(tuple, doc["final_points"])) == [(0,), (1,)]
     for step in doc["steps"]:
         assert tuple(step["potential_after"]) < tuple(step["potential_before"])
+
+
+def test_cli_compress_json_is_the_serialized_trace(tmp_path, capsys):
+    ps = random_point_set(3, 60, 6, seed=9)
+    f = tmp_path / "c.pts"
+    f.write_text(serialize_point_set(ps))
+    code, out, err = run_cli(capsys, "compress", "--input", str(f), "--format", "json")
+    assert code == 0
+    assert out == serialize_report(compress_to_fixed_point(ps))
+
+
+def test_compression_trace_is_write_only():
+    text = serialize_report(compress_to_fixed_point(PointSet.of([(0, 9), (0, 0)])))
+    with pytest.raises(ParseError, match="unknown report kind 'compression_trace'"):
+        parse_report(text)
+
+
+def test_cli_compress_exits_2_when_potential_does_not_decrease(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(kinglattice.compression, "potential", lambda ps: (0, 0))
+    f = tmp_path / "c.pts"
+    f.write_text("0 9\n0 0\n")
+    code, out, err = run_cli(capsys, "compress", "--input", str(f))
+    assert code == 2
+    assert err == (
+        "invariant violation: potential did not decrease on axis 2: (0, 0) -> (0, 0)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "dim,size,expected",
+    [
+        (2, 4, "dim 2  size 4  min edge boundary 20\n"
+               "method exhaustive  optimal yes  sets scanned 5\n"
+               "witness evb=12 gap_free=yes: (0,0) (0,1) (1,0) (1,1)\n"),
+        (1, 3, "dim 1  size 3  min edge boundary 2\n"
+               "method exhaustive  optimal yes  sets scanned 1\n"
+               "witness evb=2 gap_free=yes: (0) (1) (2)\n"),
+    ],
+    ids=["2-4", "1-3"],
+)
+def test_cli_search_plain_golden(capsys, dim, size, expected):
+    code, out, err = run_cli(capsys, "search", "--dim", str(dim), "--size", str(size))
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_cli_search_json_round_trips(capsys):
@@ -532,11 +627,15 @@ def test_cli_is_deterministic(capsys):
 
 @pytest.mark.parametrize("dim", [13, 30])
 def test_cli_boundary_refuses_high_dimension(tmp_path, capsys, dim):
-    f = tmp_path / "d.pts"
-    f.write_text(f"dim {dim}\n")
-    code, out, err = run_cli(capsys, "boundary", "--input", str(f))
-    assert code == 1
-    assert "error:" in err
+    empty, origin = tmp_path / "d.pts", tmp_path / "o.pts"
+    empty.write_text(f"dim {dim}\n")
+    origin.write_text("0 " * dim + "\n")
+    for command in ("boundary", "compress"):
+        for f in (empty, origin):
+            code, out, err = run_cli(capsys, command, "--input", str(f))
+            assert code == 1
+            assert err == f"error: dimension must be in 1..12, got {dim}\n"
+            assert out == ""
 
 
 def test_cli_search_refuses_high_dimension(capsys):

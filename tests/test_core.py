@@ -133,6 +133,10 @@ def test_translate_and_normalize():
     assert norm.points == frozenset({(0, 0), (2, 4)})
 
 
+def test_normalize_empty_set_is_identity():
+    assert PointSet(2).normalized() == PointSet(2)
+
+
 def test_translate_dimension_mismatch():
     with pytest.raises(ValueError):
         PointSet.of([(0, 0)]).translate((1,))

@@ -5,9 +5,11 @@ Everything here is deterministic given identical inputs and flags: ``search``
 and ``survey`` are exhaustive, and only ``selftest`` draws random sets, from
 its ``--seed``.
 
-Exit codes: 0 success, 1 usage or parse error, 2 internal invariant
-violation (the two edge-boundary computations disagreeing, or a compression
-step failing to lower the termination potential).
+Handlers only raise; ``main`` alone picks the exit code, from the exception
+type: 0 on a normal return, 1 for a ``ValueError`` or ``OSError`` (a usage or
+parse error, or an exceeded ``--max-sets``), 2 for a ``RuntimeError`` (an
+internal invariant violation: the two edge-boundary computations disagreeing,
+or a compression step failing to lower the termination potential).
 """
 
 from __future__ import annotations
@@ -20,14 +22,12 @@ from .core import PointSet, _direction_pairs
 from .boundary import edge_boundary_count, edge_boundary_formula, gap_set
 from .compression import compress_to_fixed_point
 from .formats import (
-    ParseError,
     parse_point_set,
     render_grid,
     serialize_point_set,
     serialize_report,
 )
 from .search import (
-    EnumerationOverflowError,
     DEFAULT_MAX_SETS,
     SearchReport,
     min_edge_boundary,
@@ -43,7 +43,7 @@ def _load_set(args: argparse.Namespace) -> PointSet:
         return parse_point_set(fh.read())
 
 
-def _cmd_boundary(args: argparse.Namespace) -> int:
+def _cmd_boundary(args: argparse.Namespace) -> None:
     ps = _load_set(args)
     breakdown = edge_boundary_formula(ps)
     direct = edge_boundary_count(ps)
@@ -59,19 +59,14 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
         print(f"direct total  {direct}")
         print(f"agreement     {'ok' if direct == breakdown.total else 'MISMATCH'}")
     if direct != breakdown.total:
-        print(
-            f"invariant violation: direct {direct} != formula {breakdown.total}",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+        raise RuntimeError(f"direct {direct} != formula {breakdown.total}")
 
 
-def _cmd_compress(args: argparse.Namespace) -> int:
+def _cmd_compress(args: argparse.Namespace) -> None:
     trace = compress_to_fixed_point(_load_set(args))
     if args.format == "json":
         sys.stdout.write(serialize_report(trace))
-        return 0
+        return
     for s in trace.steps:
         print(
             f"axis {s.axis}: boundary {s.boundary_before} -> {s.boundary_after}, "
@@ -79,7 +74,6 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         )
     print(f"{len(trace.steps)} changing steps")
     sys.stdout.write(serialize_point_set(trace.final))
-    return 0
 
 
 def _plain_search(r: SearchReport) -> str:
@@ -97,18 +91,17 @@ def _plain_search(r: SearchReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> None:
     report = min_edge_boundary(args.dim, args.size, max_sets=args.max_sets)
     write = serialize_report if args.format == "json" else _plain_search
     sys.stdout.write(write(report))
-    return 0
 
 
-def _cmd_survey(args: argparse.Namespace) -> int:
+def _cmd_survey(args: argparse.Namespace) -> None:
     reports = survey_gap_free_optima(args.dim, args.size, max_sets=args.max_sets)
     if args.format == "json":
         sys.stdout.write(serialize_report(reports))
-        return 0
+        return
     print("size  min  witnesses  some_gap_free  all_gap_free")
     for r in reports:
         print(
@@ -116,16 +109,14 @@ def _cmd_survey(args: argparse.Namespace) -> int:
             f"  {'yes' if r.any_witness_gap_free else 'no':13s}"
             f"  {'yes' if r.all_witnesses_gap_free else 'no'}"
         )
-    return 0
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: argparse.Namespace) -> None:
     ps = _load_set(args)
     sys.stdout.write(render_grid(ps, mode=args.render, max_extent=args.max_extent))
-    return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
+def _cmd_selftest(args: argparse.Namespace) -> None:
     """Check the two boundary computations against each other on random sets.
 
     Also checks gap symmetry under direction reversal on every set.  Any
@@ -133,6 +124,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     """
     if args.sets < 0:
         raise ValueError(f"--sets must be >= 0, got {args.sets}")
+    if not 0 <= args.seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
     failures = 0
     for trial in range(args.sets):
         dim = 1 + trial % 3
@@ -156,14 +149,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
     print(f"{args.sets} random sets checked, {failures} failures")
-    return 0 if failures == 0 else 2
-
-
-def _seed(value: str) -> int:
-    n = int(value)
-    if not 0 <= n < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return n
+    if failures:
+        raise RuntimeError(f"selftest found {failures} failures")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -242,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("selftest", help="cross-check boundary computations on random sets")
-    p.add_argument("--seed", type=_seed, default=0, metavar="U64")
+    p.add_argument("--seed", type=int, default=0, metavar="U64")
     p.add_argument("--sets", type=int, default=200, metavar="N")
     p.set_defaults(func=_cmd_selftest)
 
@@ -258,13 +245,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         # violations here.
         return 0 if e.code in (0, None) else 1
     try:
-        return args.func(args)
-    except (ParseError, EnumerationOverflowError, ValueError, OSError) as e:
+        args.func(args)
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except RuntimeError as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ def parse_point_set(text: str | bytes) -> PointSet:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     dim: int | None = None
-    seen_point = False
     points: set[tuple[int, ...]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -41,7 +40,7 @@ def parse_point_set(text: str | bytes) -> PointSet:
             continue
         tokens = line.replace(",", " ").split()
         if tokens[0] == "dim":
-            if seen_point or dim is not None:
+            if dim is not None:
                 raise ParseError(f"line {lineno}: dim header must come first")
             if len(tokens) != 2:
                 raise ParseError(f"line {lineno}: expected 'dim N'")
@@ -65,7 +64,6 @@ def parse_point_set(text: str | bytes) -> PointSet:
         if p in points:
             raise ParseError(f"line {lineno}: duplicate point {p}")
         points.add(p)
-        seen_point = True
     if dim is None:
         raise ParseError("empty input: need at least one point or a dim header")
     return PointSet(dim, frozenset(points))
@@ -172,18 +170,24 @@ def serialize_report(
 
 
 def _typed(v: Any, kind: type) -> Any:
-    if type(v) is not kind or v < 0:  # exact type: a JSON true is no count
+    if type(v) is not kind or (kind is int and v < 0):  # a JSON true is no count
         raise ValueError(f"bad {kind.__name__} value {v!r}")
     return v
 
 
+def _ints(v: Any) -> tuple[int, ...]:
+    if any(type(c) is not int for c in v):
+        raise ValueError(f"non-integer entry in {v!r}")
+    return tuple(v)
+
+
 def _parse_search_dict(doc: dict[str, Any]) -> SearchReport:
-    dim, ws = doc["dimension"], doc["witnesses"]
+    dim, size, ws = doc["dimension"], _typed(doc["size"], int), doc["witnesses"]
     r = SearchReport(
         dimension=dim,
-        size=_typed(doc["size"], int),
+        size=size,
         min_edge_boundary=_typed(doc["min_edge_boundary"], int),
-        witnesses=tuple(PointSet(dim, frozenset(map(tuple, w["points"]))) for w in ws),
+        witnesses=tuple(PointSet(dim, frozenset(map(_ints, w["points"]))) for w in ws),
         witness_stats=tuple(
             WitnessStats(
                 _typed(w["exterior_vertex_boundary"], int),
@@ -191,10 +195,13 @@ def _parse_search_dict(doc: dict[str, Any]) -> SearchReport:
             )
             for w in ws
         ),
-        method=doc["method"],
-        optimal=doc["optimal"],
+        method=_typed(doc["method"], str),
+        optimal=_typed(doc["optimal"], bool),
         sets_scanned=_typed(doc["sets_scanned"], int),
     )
+    sizes = {len(w) for w in r.witnesses} | {len(w["points"]) for w in ws}
+    if sizes != {size}:  # also catches no witnesses and a repeated point
+        raise ValueError(f"witnesses must be {size} distinct points each")
     for key in ("any_witness_gap_free", "all_witnesses_gap_free"):
         if _typed(doc[key], bool) != getattr(r, key):
             raise ValueError(f"{key} contradicts the witnesses")
@@ -214,7 +221,7 @@ def parse_report(text: str) -> SearchReport | BoundaryBreakdown | list[SearchRep
         if kind == "boundary_breakdown":
             entries = doc["per_direction"]
             per = {
-                tuple(e["direction"]): (_typed(e["lines"], int), _typed(e["gaps"], int))
+                _ints(e["direction"]): (_typed(e["lines"], int), _typed(e["gaps"], int))
                 for e in entries
             }
             if len(per) != len(entries) or sorted(per) != directions(doc["dim"]):

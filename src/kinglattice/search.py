@@ -32,8 +32,8 @@ DEFAULT_MAX_SETS = 1_000_000
 _Layers = dict[tuple[int, int], tuple[frozenset[Point], ...]]
 
 
-class EnumerationOverflowError(RuntimeError):
-    """Raised when an enumeration would exceed its configured cap."""
+class EnumerationOverflowError(ValueError):
+    """Raised when an enumeration would exceed the cap its caller set: bad input."""
 
 
 def _gap_free(b: BoundaryBreakdown) -> bool:
@@ -57,6 +57,7 @@ def _fixed_point_sets(
     ``layers`` memoizes the lower-dimensional families by (dimension, size),
     each built under ``cap``: stacking {0} layers on each size-s layer, s <= k,
     embeds that family in the size-k one, so it passes the cap no sooner.
+    Layer sizes go smallest first, so the first set waits on no large family.
     """
     if n == 1:
         yield frozenset((x,) for x in canonical_segment(k))
@@ -69,7 +70,7 @@ def _fixed_point_sets(
         yield frozenset(pts)
         return
     largest = min(k, len(chain[-1])) if chain else k
-    for size in range(largest, 0, -1):
+    for size in range(1, largest + 1):
         if (n - 1, size) not in layers:
             family = tuple(islice(_fixed_point_sets(n - 1, size, layers, cap), cap + 1))
             if len(family) > cap:

@@ -25,7 +25,7 @@ from kinglattice import (
 import kinglattice.cli
 import kinglattice.compression
 from kinglattice.cli import main
-from kinglattice.search import DEFAULT_MAX_SETS
+from kinglattice.search import DEFAULT_MAX_SETS, EnumerationOverflowError
 from conftest import box, subprocess_env
 
 
@@ -66,8 +66,9 @@ def test_parse_non_integer_token():
 
 
 def test_parse_header_must_come_first():
-    with pytest.raises(ParseError, match="line 2"):
-        parse_point_set("0 0\ndim 2\n")
+    for text in ("0 0\ndim 2\n", "dim 2\ndim 2\n"):
+        with pytest.raises(ParseError, match="line 2: dim header must come first"):
+            parse_point_set(text)
 
 
 def test_parse_rejects_empty_input():
@@ -215,15 +216,16 @@ def _singleton_breakdown(edit):
     return json.dumps(doc)
 
 
-def _gap_free_search(flags=True, **witness):
-    """A search report for the origin in Z^1, its witness fields overridden."""
+def _gap_free_search(flags=True, report=None, **witness):
+    """A search report for the origin in Z^1, its report and witness fields overridden."""
     w = {"points": [[0]], "exterior_vertex_boundary": 2, "fully_gap_free": True}
-    return _report_doc(
-        "search_report", dimension=1, size=1, min_edge_boundary=2,
+    fields = dict(
+        dimension=1, size=1, min_edge_boundary=2,
         method="exhaustive", optimal=True, sets_scanned=1,
         any_witness_gap_free=flags, all_witnesses_gap_free=flags,
         witnesses=[{**w, **witness}],
     )
+    return _report_doc("search_report", **{**fields, **(report or {})})
 
 
 def test_parse_report_accepts_the_unedited_documents():
@@ -261,12 +263,27 @@ def _set_first_entry(key, value):
         _gap_free_search(flags=False),
         _gap_free_search(exterior_vertex_boundary="many"),
         _gap_free_search(fully_gap_free="maybe"),
+        _singleton_breakdown(lambda doc: [
+            e.update(direction=[False, True])
+            for e in doc["per_direction"] if e["direction"] == [0, 1]
+        ]),
+        _gap_free_search(report={"size": 2}),
+        _gap_free_search(points=[[0], [1]]),
+        _gap_free_search(report={"witnesses": [], "any_witness_gap_free": False}),
+        _gap_free_search(report={"size": 2}, points=[[0], [0]]),
+        _gap_free_search(points=[[0.5]]),
+        _gap_free_search(points=[[True]]),
+        _gap_free_search(report={"method": 5}),
+        _gap_free_search(report={"optimal": "yes"}),
     ],
     ids=["search-no-fields", "survey-rows-int", "breakdown-no-directions",
          "breakdown-no-dim", "survey-row-missing-fields", "witness-wrong-dim",
          "breakdown-total-not-sum", "breakdown-lines-str", "breakdown-gaps-negative",
          "breakdown-lines-bool", "breakdown-duplicate-direction",
-         "search-flags-contradict-witnesses", "witness-evb-str", "witness-gap-free-str"],
+         "search-flags-contradict-witnesses", "witness-evb-str", "witness-gap-free-str",
+         "breakdown-direction-bool", "search-size-over-witness", "witness-over-size",
+         "search-no-witnesses", "witness-repeated-point", "witness-coordinate-float",
+         "witness-coordinate-bool", "search-method-int", "search-optimal-str"],
 )
 def test_parse_report_rejects_malformed_fields(text):
     with pytest.raises(ParseError, match="malformed"):
@@ -481,6 +498,16 @@ def test_cli_search_overflow_exits_1(capsys):
     assert "cap" in err
 
 
+def test_enumeration_overflow_is_bad_input(capsys):
+    # an exceeded cap is the caller's, so it is a ValueError and exits 1
+    assert issubclass(EnumerationOverflowError, ValueError)
+    code, out, err = run_cli(
+        capsys, "search", "--dim", "3", "--size", "12", "--max-sets", "5"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: more than 5 compressed sets for n=3, k=12; raise the cap\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -504,9 +531,9 @@ def test_cli_rejects_bad_numbers(capsys, argv):
 
 
 def test_cli_rejects_out_of_range_seed(capsys):
-    code, out, err = run_cli(capsys, "selftest", "--seed", str(2**64))
-    assert code == 1
-    assert "seed must fit in 64 bits" in err
+    for seed in (2**64, -1):
+        code, out, err = run_cli(capsys, "selftest", "--seed", str(seed))
+        assert (code, out, err) == (1, "", "error: seed must fit in 64 bits\n")
     code, out, err = run_cli(
         capsys, "selftest", "--sets", "1", "--seed", str(2**64 - 1)
     )
@@ -603,7 +630,7 @@ def test_cli_boundary_reports_route_mismatch(tmp_path, capsys, monkeypatch, fmt)
     f.write_text(serialize_point_set(box(4, 3)))
     code, out, err = run_cli(capsys, "boundary", "--input", str(f), "--format", fmt)
     assert code == 2
-    assert "invariant violation: direct 39 != formula 38" in err
+    assert err == "invariant violation: direct 39 != formula 38\n"
     if fmt == "json":
         assert json.loads(out)["agree"] is False
     else:
@@ -616,6 +643,8 @@ def test_cli_selftest_reports_route_mismatch(capsys, monkeypatch):
     assert code == 2
     assert "3 random sets checked, 3 failures" in out
     assert err.count("MISMATCH dim=") == 3
+    assert err.count("invariant violation:") == 1
+    assert err.splitlines()[-1].startswith("invariant violation: ")
 
 
 def test_cli_is_deterministic(capsys):

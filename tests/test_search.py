@@ -147,22 +147,25 @@ def test_enumerate_overflow_is_loud():
 
 
 def test_first_set_arrives_before_the_family_is_built():
-    # the whole (2, 40) family is 37 338 sets, about 190 MB when held at once
-    tracemalloc.start()
-    try:
-        first = next(enumerate_compressed_sets(2, 40))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(first) == 40
-    assert peak < LAZY_PEAK_BYTES
+    # the whole (2, 40) family is 37 338 sets, about 190 MB when held at once;
+    # it is the family itself at (2, 40) and the largest layer family at (3, 40)
+    for n in (2, 3):
+        tracemalloc.start()
+        try:
+            first = next(enumerate_compressed_sets(n, 40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(first) == 40
+        assert peak < LAZY_PEAK_BYTES
 
 
 def test_cap_stops_enumeration_before_the_family_is_built():
-    # (2, 40) passes the cap in the family itself.  (3, 20) and (3, 40) pass
-    # it in their first layer family, (2, 20) with 627 sets and (2, 40) with
-    # 37 338, about 190 MB when held at once, so no set is yielded.
-    for n, k, yields in ((2, 40, 10), (3, 20, 0), (3, 40, 0)):
+    # (2, 40) passes the cap in the family itself, and (3, 20) and (3, 40)
+    # would in their largest layer families, (2, 20) with 627 sets and (2, 40)
+    # with 37 338, about 190 MB when held at once.  Layers go smallest first,
+    # so ten sets built from small layers arrive before the cap stops the scan.
+    for n, k, yields in ((2, 40, 10), (3, 20, 10), (3, 40, 10)):
         yielded = 0
         tracemalloc.start()
         try:

@@ -4,9 +4,10 @@ Squeezing a set without growing its boundary
 
 Central compression slides every section of a set along one axis into a
 run centered on zero.  The move keeps the number of points, never adds
-boundary edges, and closes every gap along that axis.  Iterating over the
-axes drives any set to a fixed point; a two-part potential drops at every
-changing step, which is why the iteration cannot loop.
+boundary edges, and closes every gap along that axis.  It also keeps the
+other axes' sections centered, so one sweep over the axes drives any set to
+a fixed point.  A two-part potential drops at every changing step, and the
+sweep checks that it does.
 """
 
 from kinglattice import (
@@ -37,7 +38,7 @@ print("\nafter one vertical compression:")
 print(render_grid(squeezed))
 print(f"boundary {edge_boundary_count(squeezed)}, potential {potential(squeezed)}")
 
-# Iterating to the fixed point records only the steps that changed the
+# Sweeping to the fixed point records only the steps that changed the
 # set.  Watch the potential fall strictly while the boundary never rises.
 trace = compress_to_fixed_point(scattered)
 print("\nstep  axis  boundary        potential")

@@ -9,7 +9,7 @@ Handlers only raise; ``main`` alone picks the exit code, from the exception
 type: 0 on a normal return, 1 for a ``ValueError`` or ``OSError`` (a usage or
 parse error, or an exceeded ``--max-sets``), 2 for a ``RuntimeError`` (an
 internal invariant violation: the two edge-boundary computations disagreeing,
-or a compression step failing to lower the termination potential).
+or a compression step failing to lower the potential).
 """
 
 from __future__ import annotations

@@ -182,7 +182,8 @@ def _ints(v: Any) -> tuple[int, ...]:
 
 
 def _parse_search_dict(doc: dict[str, Any]) -> SearchReport:
-    dim, size, ws = doc["dimension"], _typed(doc["size"], int), doc["witnesses"]
+    dim, size = _typed(doc["dimension"], int), _typed(doc["size"], int)
+    ws = doc["witnesses"]
     r = SearchReport(
         dimension=dim,
         size=size,
@@ -224,8 +225,9 @@ def parse_report(text: str) -> SearchReport | BoundaryBreakdown | list[SearchRep
                 _ints(e["direction"]): (_typed(e["lines"], int), _typed(e["gaps"], int))
                 for e in entries
             }
-            if len(per) != len(entries) or sorted(per) != directions(doc["dim"]):
-                raise ValueError(f"directions do not match dim {doc['dim']}")
+            dim = _typed(doc["dim"], int)
+            if len(per) != len(entries) or sorted(per) != directions(dim):
+                raise ValueError(f"directions do not match dim {dim}")
             total = _typed(doc["total"], int)
             if total != sum(map(sum, per.values())):
                 raise ValueError(f"total {total} is not the sum of the entries")

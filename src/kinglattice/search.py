@@ -29,6 +29,10 @@ from .boundary import (
 from .compression import canonical_segment
 
 DEFAULT_MAX_SETS = 1_000_000
+# Padding a planar fixed point with zero coordinates gives one in Z^n, so for
+# n >= 2 the size-k family has at least p(k) members, and p(406) > 2^63 - 1.
+# Refusing larger sizes also bounds the enumeration's recursion depth.
+MAX_SIZE = 405
 _Layers = dict[tuple[int, int], tuple[frozenset[Point], ...]]
 
 
@@ -43,6 +47,14 @@ def _gap_free(b: BoundaryBreakdown) -> bool:
 def fully_gap_free(ps: PointSet) -> bool:
     """True iff ps has no gaps along any of the 3^n - 1 step directions."""
     return _gap_free(edge_boundary_formula(ps))
+
+
+def _check_family(n: int, k: int) -> None:
+    _check_dimension(n)
+    if n >= 2 and k > MAX_SIZE:
+        raise EnumerationOverflowError(
+            f"more than 2^63 - 1 compressed sets for n={n}, k={k}"
+        )
 
 
 def _fixed_point_sets(
@@ -88,10 +100,11 @@ def enumerate_compressed_sets(
 
     Sets are built one at a time, so ``max_sets`` bounds the work, layer
     families included; exceeding it raises EnumerationOverflowError rather
-    than truncating.  No two sets are translates of each other, and all
-    coordinates stay within ceil(k/2) + 1 of the origin.
+    than truncating, as does any k above MAX_SIZE for n >= 2, at any cap.
+    No two sets are translates of each other, and all coordinates stay
+    within ceil(k/2) + 1 of the origin.
     """
-    _check_dimension(n)
+    _check_family(n, k)
     if k < 1:
         raise ValueError(f"size must be >= 1, got {k}")
     if max_sets < 1:
@@ -261,6 +274,7 @@ def survey_gap_free_optima(
     """
     if k_max < 1:
         raise ValueError(f"size must be >= 1, got {k_max}")
+    _check_family(n, k_max)
     return [
         min_edge_boundary(n, k, max_sets=max_sets)
         for k in range(1, k_max + 1)

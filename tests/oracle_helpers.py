@@ -15,11 +15,6 @@ import itertools
 # Frozen from window_family_min runs; the function recomputes them live.
 WINDOW_FAMILY_MIN = {1: 8, 2: 14, 3: 18, 4: 20, 5: 24, 6: 26, 7: 28, 8: 30}
 
-# Number of members of that family up to translation (first occupied row at
-# y = 0, leftmost occupied column at x = 0), frozen from first runs of
-# window_family_members.
-WINDOW_FAMILY_COUNT = {1: 1, 2: 20, 3: 766, 4: 41899}
-
 
 def step_vectors(n: int) -> list[tuple[int, ...]]:
     return [d for d in itertools.product((-1, 0, 1), repeat=n) if any(d)]
@@ -49,20 +44,6 @@ def nb_vertex_boundary(points) -> int:
             if q not in pts:
                 out.add(q)
     return len(out)
-
-
-def is_axis_run_set(points) -> bool:
-    """Every row and every column of a planar set is one consecutive run."""
-    pts = set(points)
-    for axis in (0, 1):
-        groups: dict[int, list[int]] = {}
-        for p in pts:
-            groups.setdefault(p[1 - axis], []).append(p[axis])
-        for vals in groups.values():
-            vals.sort()
-            if vals[-1] - vals[0] + 1 != len(vals):
-                return False
-    return True
 
 
 def _row_runs(width: int) -> list[tuple[int, int]]:
@@ -164,38 +145,32 @@ def window_family_min(k: int) -> int:
     return lower[k]
 
 
-def window_family_members(k: int):
-    """Yield every member of the axis-run family, up to translation.
+def partition_count(k: int) -> int:
+    """p(k), the number of partitions of k, by Euler's pentagonal recurrence:
+    p(m) = sum over j >= 1 of (-1)^(j+1) (p(m - j(3j-1)/2) + p(m - j(3j+1)/2))."""
+    p = [1] + [0] * k
+    for m in range(1, k + 1):
+        j = 1
+        while j * (3 * j - 1) // 2 <= m:
+            sign = 1 if j % 2 else -1
+            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if g <= m:
+                    p[m] += sign * p[m - g]
+            j += 1
+    return p[k]
 
-    Members are subsets of a (2k)x(2k) window with every row and column a
-    consecutive run, normalized so the lowest occupied row is y = 0 and the
-    leftmost occupied column is x = 0.  Feasible for k <= 4 or so; counts
-    grow near a hundredfold per unit of k.
+
+def clique_min(n: int, k: int) -> int:
+    """Least edge boundary of k <= 2^n points in Z^n: k(3^n - 1) - k(k - 1).
+
+    The boundary is k(3^n - 1) minus twice the E edges inside the set, and
+    E <= k(k - 1)/2 with equality iff the points are pairwise adjacent.
+    Adjacent points differ by at most 1 in every coordinate, so such a set
+    lies in a translate of {0,1}^n, which has room for it iff k <= 2^n.
     """
-    width = height = 2 * k
-    runs = _row_runs(width)
-
-    def extend(y, rem, prev, closed, rows, used):
-        if rem == 0:
-            if used & 1:
-                yield frozenset(
-                    (x, ry)
-                    for ry, m in enumerate(rows)
-                    for x in range(m.bit_length())
-                    if m >> x & 1
-                )
-            return
-        if y == height:
-            return
-        for m, size in runs:
-            if size <= rem and not (m & closed):
-                yield from extend(
-                    y + 1, rem - size, m, closed | (prev & ~m), rows + [m], used | m
-                )
-        if y > 0:
-            yield from extend(y + 1, rem, 0, closed | prev, rows + [0], used)
-
-    yield from extend(0, k, 0, 0, [], 0)
+    if not 1 <= k <= 2**n:
+        raise ValueError(f"size {k} is outside the clique regime 1..2^{n}")
+    return k * (3**n - 1) - k * (k - 1)
 
 
 def partitions(k: int, largest: int | None = None):

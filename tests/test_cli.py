@@ -209,9 +209,9 @@ def _report_doc(kind, **fields):
     return json.dumps({"schema": "kinglattice.report/1", "kind": kind, **fields})
 
 
-def _singleton_breakdown(edit):
-    """A serialized breakdown of the origin in Z^2, after ``edit(doc)``."""
-    doc = json.loads(serialize_report(edge_boundary_formula(PointSet.of([(0, 0)]))))
+def _singleton_breakdown(edit, origin=(0, 0)):
+    """A serialized breakdown of ``origin``, by default in Z^2, after ``edit(doc)``."""
+    doc = json.loads(serialize_report(edge_boundary_formula(PointSet.of([origin]))))
     edit(doc)
     return json.dumps(doc)
 
@@ -275,6 +275,8 @@ def _set_first_entry(key, value):
         _gap_free_search(points=[[True]]),
         _gap_free_search(report={"method": 5}),
         _gap_free_search(report={"optimal": "yes"}),
+        _gap_free_search(report={"dimension": True}),
+        _singleton_breakdown(lambda doc: doc.update(dim=True), origin=(0,)),
     ],
     ids=["search-no-fields", "survey-rows-int", "breakdown-no-directions",
          "breakdown-no-dim", "survey-row-missing-fields", "witness-wrong-dim",
@@ -283,7 +285,8 @@ def _set_first_entry(key, value):
          "search-flags-contradict-witnesses", "witness-evb-str", "witness-gap-free-str",
          "breakdown-direction-bool", "search-size-over-witness", "witness-over-size",
          "search-no-witnesses", "witness-repeated-point", "witness-coordinate-float",
-         "witness-coordinate-bool", "search-method-int", "search-optimal-str"],
+         "witness-coordinate-bool", "search-method-int", "search-optimal-str",
+         "search-dimension-bool", "breakdown-dim-bool"],
 )
 def test_parse_report_rejects_malformed_fields(text):
     with pytest.raises(ParseError, match="malformed"):
@@ -501,11 +504,32 @@ def test_cli_search_overflow_exits_1(capsys):
 def test_enumeration_overflow_is_bad_input(capsys):
     # an exceeded cap is the caller's, so it is a ValueError and exits 1
     assert issubclass(EnumerationOverflowError, ValueError)
-    code, out, err = run_cli(
-        capsys, "search", "--dim", "3", "--size", "12", "--max-sets", "5"
-    )
+    for n, k in ((3, 12), (2, 405)):  # 405 is the largest size not refused outright
+        code, out, err = run_cli(
+            capsys, "search", "--dim", str(n), "--size", str(k), "--max-sets", "5"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: more than 5 compressed sets for n={n}, k={k}; raise the cap\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv,k",
+    [
+        (["search", "--dim", "2", "--size", "1200"], 1200),
+        (["search", "--dim", "4", "--size", "1000", "--max-sets", "5"], 1000),
+        (["survey", "--dim", "2", "--size", "406", "--max-sets", "5"], 406),
+    ],
+    ids=["search-2-1200", "search-4-1000-cap-5", "survey-2-406-cap-5"],
+)
+def test_sizes_past_the_ceiling_exit_1_at_any_cap(capsys, argv, k):
+    # refused before the enumeration recurses one frame per layer past
+    # Python's recursion limit, which would be an invariant violation
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == "error: more than 5 compressed sets for n=3, k=12; raise the cap\n"
+    n = argv[2]
+    assert err == f"error: more than 2^63 - 1 compressed sets for n={n}, k={k}\n"
 
 
 @pytest.mark.parametrize(

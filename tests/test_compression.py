@@ -13,7 +13,7 @@ from kinglattice import (
     potential,
     random_point_set,
 )
-from conftest import box
+from conftest import box, small_lattice_sets
 from oracle_helpers import nb_edge_boundary
 
 
@@ -112,14 +112,12 @@ def test_changing_compression_lowers_potential():
 
 
 @settings(max_examples=50)
-@given(
-    st.sets(
-        st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=9
-    ).map(PointSet.of)
-)
+@given(small_lattice_sets)
 def test_fixed_point_properties(ps):
     trace = compress_to_fixed_point(ps)
     final = trace.final
+    axes = [step.axis for step in trace.steps]
+    assert axes == sorted(set(axes))  # one sweep: each axis at most once
     assert len(final) == len(ps)
     assert nb_edge_boundary(final.points) <= nb_edge_boundary(ps.points)
     # fixed under every axis, hence no axis gaps in either orientation
@@ -186,6 +184,21 @@ def test_trace_computes_each_boundary_once(monkeypatch, suite_sets):
             assert steps[-1].boundary_after == nb_edge_boundary(trace.final.points)
         for a, b in zip(steps, steps[1:]):
             assert b.boundary_before == a.boundary_after
+
+
+def test_trace_compresses_each_axis_once(monkeypatch, suite_sets):
+    real = kinglattice.compression.central_compress
+    calls = []
+
+    def counted(ps, axis):
+        calls.append(axis)
+        return real(ps, axis)
+
+    monkeypatch.setattr(kinglattice.compression, "central_compress", counted)
+    for ps in suite_sets:
+        calls.clear()
+        compress_to_fixed_point(ps)
+        assert calls == list(range(1, ps.dim + 1))
 
 
 def test_trace_computes_each_potential_once(monkeypatch, suite_sets):

@@ -33,7 +33,9 @@ from conftest import box, small_lattice_sets, subprocess_env
 from oracle_helpers import (
     WINDOW_FAMILY_MIN,
     brute_force_min,
+    clique_min,
     nb_edge_boundary,
+    partition_count,
     planar_partition_min,
     window_family_min,
 )
@@ -43,14 +45,6 @@ FIXED_POINT_COUNTS_2D = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
 FIXED_POINT_COUNTS_3D = [1, 3, 6, 13, 24, 48, 86, 160]
 # traced-memory ceiling for an enumeration that never holds its whole family
 LAZY_PEAK_BYTES = 5_000_000
-
-
-def count_partitions(k: int) -> int:
-    ways = [1] + [0] * k
-    for part in range(1, k + 1):
-        for total in range(part, k + 1):
-            ways[total] += ways[total - part]
-    return ways[k]
 
 
 def count_plane_partitions(k: int) -> int:
@@ -83,9 +77,24 @@ def test_enumerate_counts_match_frozen_values():
 
 def test_planar_count_equals_partition_count():
     # planar fixed points are nested row stacks, one per partition of k
-    assert count_partitions(30) == 5604
+    assert partition_count(30) == 5604
+    assert [partition_count(k) for k in range(1, 13)] == FIXED_POINT_COUNTS_2D
     for k in range(1, 31):
-        assert sum(1 for _ in enumerate_compressed_sets(2, k)) == count_partitions(k)
+        assert sum(1 for _ in enumerate_compressed_sets(2, k)) == partition_count(k)
+
+
+def test_sizes_past_the_ceiling_are_refused_before_any_work():
+    # every family with n >= 2 holds the planar one, padded with zeros, so
+    # past the ceiling it has more than 2^63 - 1 members whatever the cap
+    ceiling = kinglattice.search.MAX_SIZE
+    assert partition_count(ceiling) <= 2**63 - 1 < partition_count(ceiling + 1)
+    for n in (2, 3, 12):
+        with pytest.raises(EnumerationOverflowError, match=f"k={ceiling + 1}$"):
+            next(enumerate_compressed_sets(n, ceiling + 1, max_sets=2**70))
+    with pytest.raises(EnumerationOverflowError, match=f"k={ceiling + 1}$"):
+        survey_gap_free_optima(2, ceiling + 1, max_sets=5)
+    (line,) = enumerate_compressed_sets(1, 2 * ceiling)  # one set per size
+    assert len(line) == 2 * ceiling
 
 
 def test_spatial_count_equals_plane_partition_count():
@@ -347,12 +356,31 @@ def test_search_equals_full_scan(n, k):
     best, witnesses, scanned = full_scan(n, k)
     r = min_edge_boundary(n, k)
     assert r.min_edge_boundary == best
+    if k <= 2**n:
+        assert best == clique_min(n, k)
     assert list(r.witnesses) == witnesses
     assert r.witness_stats == tuple(
         WitnessStats(exterior_vertex_boundary(w), gap_free_in_every_direction(w))
         for w in witnesses
     )
     assert r.sets_scanned == scanned
+
+
+# Every size with k <= 2^n for n <= 3, and the small sizes of higher n.
+CLIQUE_CASES = [
+    (n, k)
+    for n, k_max in ((1, 2), (2, 4), (3, 8), (4, 8), (5, 6), (6, 3))
+    for k in range(1, k_max + 1)
+]
+
+
+def test_clique_regime_minimum_is_closed_form():
+    # the minimizers are the k-subsets of unit cubes, so each is gap-free
+    for n, k in CLIQUE_CASES:
+        r = min_edge_boundary(n, k)
+        assert r.min_edge_boundary == clique_min(n, k), (n, k)
+        assert all(c in (0, 1) for w in r.witnesses for p in w.points for c in p)
+        assert r.all_witnesses_gap_free
 
 
 def coordinate_images(ps):

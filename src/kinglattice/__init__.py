@@ -45,6 +45,7 @@ from .search import (
     EnumerationOverflowError,
     SearchReport,
     WitnessStats,
+    count_compressed_sets,
     enumerate_compressed_sets,
     fully_gap_free,
     min_edge_boundary,
@@ -91,6 +92,7 @@ __all__ = [
     "CompressionTrace",
     "compress_to_fixed_point",
     "EnumerationOverflowError",
+    "count_compressed_sets",
     "enumerate_compressed_sets",
     "random_point_set",
     "fully_gap_free",

@@ -3,11 +3,12 @@
 The search does not scan arbitrary sets.  Axis compression maps any
 size-k set, without raising its edge boundary, to a set whose every axis
 section is a centered run, so the minimum over all size-k sets equals the
-minimum over those fixed points.  Fixed points of a given size form a small
-finite family near the origin, enumerated here layer by layer: a fixed point
-in Z^n is exactly a nested chain of fixed points in Z^(n-1) stacked along the
-last axis in center-out order.  Permuting coordinates maps the family onto
-itself and keeps the boundary, so the scan scores one member per orbit.
+minimum over those fixed points.  A fixed point in Z^n is exactly a nested
+chain of fixed points in Z^(n-1) stacked along the last axis in center-out
+order, and its edge boundary is k(3^n - 1) minus twice its inside edges,
+which add up layer by layer.  So the search finds the most inside edges by
+a longest-path DP over layer chains, counts the family with the same
+recursion, and checks only the chains that reach the optimum.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, NamedTuple
+from itertools import islice, product
+from operator import add
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import Point, PointSet, _check_dimension
 from .boundary import (
@@ -57,6 +59,29 @@ def _check_family(n: int, k: int) -> None:
         )
 
 
+def _check_request(n: int, k: int, max_sets: int) -> None:
+    _check_family(n, k)
+    if k < 1:
+        raise ValueError(f"size must be >= 1, got {k}")
+    if max_sets < 1:
+        raise ValueError(f"max_sets must be >= 1, got {max_sets}")
+
+
+def _overflow(n: int, k: int, max_sets: int) -> EnumerationOverflowError:
+    return EnumerationOverflowError(
+        f"more than {max_sets} compressed sets for n={n}, k={k}; raise the cap"
+    )
+
+
+def _stack(layers: Iterable[frozenset[Point]]) -> frozenset[Point]:
+    """The set whose layers along the last axis are ``layers``, center out."""
+    pts: set[Point] = set()
+    for depth, layer in enumerate(layers, start=1):
+        y = depth // 2 if depth % 2 == 0 else -(depth // 2)
+        pts.update(q + (y,) for q in layer)
+    return frozenset(pts)
+
+
 def _fixed_point_sets(
     n: int, k: int, layers: _Layers, cap: int, chain: tuple[frozenset[Point], ...] = ()
 ) -> Iterator[frozenset[Point]]:
@@ -75,11 +100,7 @@ def _fixed_point_sets(
         yield frozenset((x,) for x in canonical_segment(k))
         return
     if k == 0:
-        pts: set[Point] = set()
-        for depth, layer in enumerate(chain, start=1):
-            y = depth // 2 if depth % 2 == 0 else -(depth // 2)
-            pts.update(q + (y,) for q in layer)
-        yield frozenset(pts)
+        yield _stack(chain)
         return
     largest = min(k, len(chain[-1])) if chain else k
     for size in range(1, largest + 1):
@@ -104,11 +125,7 @@ def enumerate_compressed_sets(
     No two sets are translates of each other, and all coordinates stay
     within ceil(k/2) + 1 of the origin.
     """
-    _check_family(n, k)
-    if k < 1:
-        raise ValueError(f"size must be >= 1, got {k}")
-    if max_sets < 1:
-        raise ValueError(f"max_sets must be >= 1, got {max_sets}")
+    _check_request(n, k, max_sets)
     sets = _fixed_point_sets(n, k, {}, max_sets)
     try:
         for pts in islice(sets, max_sets):
@@ -116,9 +133,204 @@ def enumerate_compressed_sets(
         if next(sets, None) is not None:
             raise EnumerationOverflowError
     except EnumerationOverflowError:
-        raise EnumerationOverflowError(
-            f"more than {max_sets} compressed sets for n={n}, k={k}; raise the cap"
-        ) from None
+        raise _overflow(n, k, max_sets) from None
+
+
+class _LayerChain:
+    """Tables for the DP over nested chains of (n-1)-dimensional layers.
+
+    A fixed point S in Z^n is a chain L1 ⊇ L2 ⊇ ... of fixed points in
+    Z^(n-1) at heights 0, 1, -1, 2, -2, ... (see ``_fixed_point_sets``).
+    Layers at adjacent heights are (L1, L2), (L1, L3) and (L_m, L_(m+2)) for
+    m >= 2, so S's inside edges E_int(S) are the sum of E(L_m), the edges
+    inside each layer, and of cross(A, C) = sum over c in C of |N[c] ∩ A|
+    over those pairs, N[c] being c's closed king neighbourhood in Z^(n-1).
+    With a virtual L0 = L1 every step has the same form: after layers A and
+    B, with r points left, the next layer C ⊆ B scores E(C) + cross(A, C).
+
+    Layers get int ids one size at a time, so ids ascend with size.  Each
+    size's family comes from ``_fixed_point_sets`` under ``cap`` when first
+    needed.  A layer's sub-layers, every layer inside it, are the layer and
+    the sub-layers of each one-point removal L - {p} that is a layer, found
+    through a hash index.  That finds them all: a set has every axis section
+    centered iff it is a down-set of the product of n - 1 copies of the
+    order 0 < 1 < -1 < 2 < -2 < ....  For down-sets C ⊊ L take p maximal in
+    L - C; every point of L above p is outside C too, as C is a down-set, so
+    p is maximal in L and L - {p} is a down-set that contains C; induct on
+    |L - C|.  E and cross grow along the same removals:
+    E(L) = E(L - {p}) + |N(p) ∩ L| and cross(A, C) = cross(A, C - {p}) +
+    |N[p] ∩ A|.
+    """
+
+    def __init__(self, n: int, cap: int) -> None:
+        self.dim = n - 1
+        self.cap = cap
+        self.closed = tuple(product((-1, 0, 1), repeat=n - 1))
+        self.points: list[frozenset[Point]] = []
+        self.size: list[int] = []
+        self.edges: list[int] = []
+        # (id of L - {p}, p) for each one-point removal; id -1 is the empty set
+        self.removals: list[list[tuple[int, Point]]] = []
+        self._starts = [0]  # ids of size s are range(_starts[s - 1], _starts[s])
+        self._index: dict[frozenset[Point], int] = {frozenset(): -1}
+        self._families: _Layers = {}
+        self._sub: dict[int, tuple[int, ...]] = {}
+        self._cross: dict[tuple[int, int], int] = {}
+        self._count: dict[tuple[int, int], int] = {}
+        self._best: dict[tuple[int, int, int], int] = {}
+
+    def family(self, s: int) -> range:
+        """Ids of the size-s layers; raises EnumerationOverflowError past the cap."""
+        while len(self._starts) <= s:
+            self._add_size(len(self._starts))
+        return range(self._starts[s - 1], self._starts[s])
+
+    def _add_size(self, s: int) -> None:
+        if self.dim == 0:
+            family: tuple[frozenset[Point], ...] = (frozenset({()}),) if s == 1 else ()
+        else:
+            sets = _fixed_point_sets(self.dim, s, self._families, self.cap)
+            family = tuple(islice(sets, self.cap + 1))
+            if len(family) > self.cap:
+                raise EnumerationOverflowError
+        for layer in family:
+            removals = [
+                (self._index[rest], p)
+                for p in sorted(layer)
+                if (rest := layer - {p}) in self._index
+            ]
+            rest, p = removals[0]
+            below = self.edges[rest] if rest >= 0 else 0
+            self._index[layer] = len(self.points)
+            self.points.append(layer)
+            self.size.append(s)
+            self.edges.append(below + self._touching(p, layer) - 1)
+            self.removals.append(removals)
+        self._starts.append(len(self.points))
+
+    def _touching(self, p: Point, layer: frozenset[Point]) -> int:
+        """|N[p] ∩ layer|."""
+        return sum(tuple(map(add, p, d)) in layer for d in self.closed)
+
+    def sub_layers(self, b: int) -> tuple[int, ...]:
+        """Every layer inside layer b, b included, in ascending id order."""
+        subs = self._sub.get(b)
+        if subs is None:
+            seen = {b}
+            todo = [b]
+            for c in todo:  # grows while it is walked
+                for rest, _ in self.removals[c]:
+                    if rest >= 0 and rest not in seen:
+                        seen.add(rest)
+                        todo.append(rest)
+            subs = self._sub[b] = tuple(sorted(seen))
+        return subs
+
+    def cross(self, a: int, c: int) -> int:
+        """cross(A, C) for layer C inside layer A, walked down C's removals."""
+        memo = self._cross
+        path = []
+        while c >= 0 and (a, c) not in memo:
+            rest, p = self.removals[c][0]
+            path.append((c, p))
+            c = rest
+        total = memo[a, c] if c >= 0 else 0
+        for c, p in reversed(path):
+            total += self._touching(p, self.points[a])
+            memo[a, c] = total
+        return total
+
+    def count(self, b: int, r: int) -> int:
+        """Chains that follow layer b with r more points, saturating at cap + 1."""
+        if r == 0:
+            return 1
+        ways = self._count.get((b, r))
+        if ways is None:
+            ways = 0
+            for c in self.sub_layers(b):
+                s = self.size[c]
+                if s > r:
+                    break
+                ways += self.count(c, r - s)
+                if ways > self.cap:
+                    ways = self.cap + 1
+                    break
+            self._count[b, r] = ways
+        return ways
+
+    def family_size(self, k: int) -> int:
+        """Size of the size-k family in Z^n; first layers go smallest first."""
+        total = 0
+        for s in range(1, k + 1):
+            for a in self.family(s):
+                total += self.count(a, k - s)
+                if total > self.cap:
+                    raise EnumerationOverflowError
+        return total
+
+    def best(self, a: int, b: int, r: int) -> int:
+        """f(A, B, r): the most edges r more points add after layers A and B."""
+        if r == 0:
+            return 0
+        gain = self._best.get((a, b, r))
+        if gain is None:
+            gain = 0
+            for c in self.sub_layers(b):
+                s = self.size[c]
+                if s > r:
+                    break
+                gain = max(
+                    gain, self.edges[c] + self.cross(a, c) + self.best(b, c, r - s)
+                )
+            self._best[a, b, r] = gain
+        return gain
+
+    def optimal_chains(self, k: int) -> tuple[int, list[tuple[int, ...]]]:
+        """The largest E_int over the size-k family, and every chain reaching it."""
+        firsts = {
+            a: self.edges[a] + self.best(a, a, k - s)
+            for s in range(1, k + 1)
+            for a in self.family(s)
+        }
+        most = max(firsts.values())
+        chains = []
+        todo = [(a, a, k - self.size[a], (a,)) for a, e in firsts.items() if e == most]
+        while todo:
+            a, b, r, chain = todo.pop()
+            if r == 0:
+                chains.append(chain)
+                continue
+            want = self.best(a, b, r)
+            for c in self.sub_layers(b):
+                s = self.size[c]
+                if s > r:
+                    break
+                if self.edges[c] + self.cross(a, c) + self.best(b, c, r - s) == want:
+                    todo.append((b, c, r - s, chain + (c,)))
+        return most, chains
+
+
+def _counted_chains(n: int, k: int, max_sets: int) -> tuple[_LayerChain, int]:
+    """Layer tables for (n, k) and the family size, or the enumeration's errors."""
+    _check_request(n, k, max_sets)
+    chains = _LayerChain(n, max_sets)
+    try:
+        return chains, chains.family_size(k)
+    except EnumerationOverflowError:
+        raise _overflow(n, k, max_sets) from None
+
+
+def count_compressed_sets(n: int, k: int, max_sets: int = DEFAULT_MAX_SETS) -> int:
+    """The number of sets ``enumerate_compressed_sets(n, k)`` yields, without them.
+
+    Counts layer chains by the recursion g(B, r) = [r = 0] + sum of
+    g(C, r - |C|) over layers C ⊆ B with |C| <= r, which saturates past
+    ``max_sets``.  Raises EnumerationOverflowError exactly where the
+    enumeration would: past ``max_sets`` sets, with the same message.
+    First layers go smallest first, so an oversized family is refused after
+    only small layer families are built.
+    """
+    return _counted_chains(n, k, max_sets)[1]
 
 
 def random_point_set(
@@ -149,11 +361,12 @@ class SearchReport:
     """Outcome of a minimal-edge-boundary search for one (dimension, size).
 
     Witnesses are translated so their minimum corner is the origin and come
-    with per-witness diagnostics.  Every search is an exhaustive scan that
-    proves the minimum, so ``method`` is "exhaustive" and ``optimal`` is
-    True.  Both fields stay in the report schema so that reports written by
-    earlier versions, which could hold an unproved upper bound with
-    ``optimal`` False, still parse.
+    with per-witness diagnostics.  Every search proves the minimum over the
+    whole compressed family, so ``method`` is "exhaustive" and ``optimal``
+    is True.  Both fields stay in the report schema so that reports written
+    by earlier versions, which could hold an unproved upper bound with
+    ``optimal`` False, still parse.  ``sets_scanned`` is the family size,
+    counted rather than walked; the name stays for the schema.
     """
 
     dimension: int
@@ -186,74 +399,46 @@ def _verify_candidate(ps: PointSet) -> BoundaryBreakdown:
     return breakdown
 
 
-def _orbit_if_first(ps: PointSet) -> list[PointSet] | None:
-    """ps's distinct images under coordinate permutations, if ps sorts first.
-
-    "Sorts first" compares sorted points lexicographically, and ps comes
-    first in the returned list.  The orbit is walked breadth-first through
-    the n - 1 adjacent coordinate swaps, which generate every permutation,
-    so the work is at most |orbit| * (n - 1) images and never n!.  Returns
-    None at the first image that sorts below ps.
-    """
-    key = sorted(ps.points)
-    seen = {ps.points}
-    orbit = [ps.points]
-    for pts in orbit:  # grows while it is walked: the breadth-first queue
-        for i in range(ps.dim - 1):
-            image = frozenset(p[:i] + (p[i + 1], p[i]) + p[i + 2 :] for p in pts)
-            if image in seen:
-                continue
-            if sorted(image) < key:
-                return None
-            seen.add(image)
-            orbit.append(image)
-    return [PointSet(ps.dim, pts) for pts in orbit]
-
-
 def min_edge_boundary(
     n: int, k: int, *, max_sets: int = DEFAULT_MAX_SETS
 ) -> SearchReport:
     """Minimal edge boundary over all size-k subsets of Z^n, proved optimal.
 
-    Scans the compressed fixed-point family and returns the true minimum
-    with every minimizing witness.  The family is closed under coordinate
-    permutations, which preserve the boundary, so only the member that sorts
-    first in each orbit is scored, by both routes; a scored set that ties or
-    beats the best brings its whole orbit into the witnesses, and each of
-    those other orbit members is checked by both routes once after the scan.
-    Gap diagnostics read each witness's checked breakdown.  ``sets_scanned``
-    counts every enumerated set.
+    Finds the most inside edges E_int over the compressed fixed-point family
+    by the longest-path DP of ``_LayerChain``; the minimum boundary is
+    k(3^n - 1) - 2 E_int.  Backtracking every chain that ties the optimum
+    gives every minimizing family member, and only those witnesses are
+    checked: each goes once through both boundary routes, whose total must
+    also match the DP's E_int.  Gap diagnostics read each witness's checked
+    breakdown.  ``sets_scanned`` is the family size, counted by the same
+    recursion rather than walked; the family past ``max_sets`` raises
+    EnumerationOverflowError, as enumerating it would, before the DP runs.
     """
-    best: int | None = None
-    orbits: list[tuple[BoundaryBreakdown, list[PointSet]]] = []
-    scanned = 0
-    for ps in enumerate_compressed_sets(n, k, max_sets=max_sets):
-        scanned += 1
-        orbit = _orbit_if_first(ps)
-        if orbit is None:
-            continue
+    chains, scanned = _counted_chains(n, k, max_sets)
+    inside, tying = chains.optimal_chains(k)
+    witnesses = sorted(
+        (
+            PointSet(n, _stack(chains.points[c] for c in chain)).normalized()
+            for chain in tying
+        ),
+        key=lambda ps: sorted(ps.points),
+    )
+    del chains, tying  # the tables are not needed by the checks
+    best = k * (3**n - 1) - 2 * inside
+    found = []
+    for ps in witnesses:
         b = _verify_candidate(ps)
-        if best is None or b.total < best:
-            best, orbits = b.total, [(b, orbit)]
-        elif b.total == best:
-            orbits.append((b, orbit))
-    assert best is not None
-    found = [(orbit[0].normalized(), b) for b, orbit in orbits]
-    for _, orbit in orbits:
-        for ps in orbit[1:]:
-            b = _verify_candidate(ps)
-            if b.total != best:
-                raise RuntimeError(
-                    f"witness {sorted(ps.points)} has boundary {b.total}, "
-                    f"but its orbit's first member has {best}"
-                )
-            found.append((ps.normalized(), b))
-    found.sort(key=lambda w: sorted(w[0].points))
+        if b.total != best:
+            raise RuntimeError(
+                f"witness {sorted(ps.points)} has boundary {b.total}, "
+                f"but the layer-chain DP gives {best}"
+            )
+        found.append((ps, b))
     return SearchReport(
         dimension=n,
         size=k,
         min_edge_boundary=best,
-        witnesses=tuple(ps for ps, _ in found),
+        witnesses=tuple(witnesses),
         witness_stats=tuple(
             WitnessStats(exterior_vertex_boundary(ps), _gap_free(b))
             for ps, b in found

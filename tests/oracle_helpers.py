@@ -208,20 +208,70 @@ def planar_partition_min(k: int) -> tuple[int, int]:
     return best, values.count(best)
 
 
-def brute_force_min(k: int) -> int:
-    """Minimum over ALL size-k subsets of a (k+1)x(k+1) window in Z^2.
+def gap_free(points) -> bool:
+    """True iff every line along every step direction meets the set in one run.
 
-    No structural restriction at all.  Some minimizer over the whole plane
-    occupies at most k rows and k columns, so the window loses nothing.
-    Feasible for k <= 5.
+    d and -d cut the same lines, so only the d whose first nonzero entry,
+    at axis j, is +1 are tried.  Points on one line along d differ only by
+    multiples of d, so a line is keyed by its point with coordinate 0 at j,
+    and p sits at position p_j on it.
     """
-    side = k + 1
-    grid = list(itertools.product(range(side), repeat=2))
-    best = None
-    for combo in itertools.combinations(grid, k):
-        if min(p[0] for p in combo) or min(p[1] for p in combo):
-            continue  # translate of a set already scanned
-        b = nb_edge_boundary(combo)
-        if best is None or b < best:
-            best = b
-    return best
+    pts = list(points)
+    for d in step_vectors(len(pts[0])):
+        j = next(i for i, s in enumerate(d) if s)
+        if d[j] < 0:
+            continue
+        lines: dict = {}
+        for p in pts:
+            lines.setdefault(tuple(a - p[j] * s for a, s in zip(p, d)), []).append(p[j])
+        if any(max(ts) - min(ts) + 1 != len(ts) for ts in lines.values()):
+            return False
+    return True
+
+
+def unrestricted_census(n: int, k_max: int) -> dict[int, tuple[int, int, list]]:
+    """k -> (king-connected k-sets in Z^n up to translation, least edge
+    boundary among them, every set reaching it), for k = 1..k_max.
+
+    The sets are enumerated by Redelmeier's method ("Counting polyominoes:
+    yet another attack", Discrete Math. 1981): each set is grown from its
+    lexicographically least point, the origin, one untried neighbour at a
+    time, and a cell once tried is never offered again on the same branch,
+    so every set comes up exactly once.  A minimizer over all sets is
+    king-connected, as moving one part until it touches the other adds
+    edges and removes none, so the least boundary here is the least over
+    all k-subsets of Z^n.  Inside edges are counted as points join, so the
+    boundary is k(3^n - 1) minus twice them.
+    """
+    steps = step_vectors(n)
+    origin = (0,) * n
+    degree = 3**n - 1
+    census = {k: [0, None, []] for k in range(1, k_max + 1)}
+    animal: set = set()
+    seen = {origin}
+
+    def grow(untried, inside):
+        while untried:
+            p = untried.pop()
+            edges = inside + sum(
+                max(abs(a - b) for a, b in zip(p, q)) == 1 for q in animal
+            )
+            animal.add(p)
+            k = len(animal)
+            entry = census[k]
+            entry[0] += 1
+            boundary = k * degree - 2 * edges
+            if entry[1] is None or boundary < entry[1]:
+                entry[1], entry[2] = boundary, []
+            if boundary == entry[1]:
+                entry[2].append(frozenset(animal))
+            if k < k_max:
+                near = (tuple(a + s for a, s in zip(p, d)) for d in steps)
+                new = [q for q in near if q > origin and q not in seen]
+                seen.update(new)
+                grow(untried + new, edges)
+                seen.difference_update(new)
+            animal.remove(p)
+
+    grow([origin], 0)
+    return {k: tuple(entry) for k, entry in census.items()}

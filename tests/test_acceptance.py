@@ -22,7 +22,7 @@ from kinglattice import (
     random_point_set,
 )
 from conftest import box
-from oracle_helpers import brute_force_min, nb_edge_boundary, window_family_min
+from oracle_helpers import nb_edge_boundary, unrestricted_census, window_family_min
 
 
 def report(line: str) -> None:
@@ -81,8 +81,8 @@ def test_criterion_3_exhaustive_planar_minimum_at_twelve():
     for k in range(1, 9):
         lib = min_edge_boundary(2, k).min_edge_boundary
         assert lib == window_family_min(k), f"window oracle disagrees at k={k}"
-    for k in range(1, 6):
-        assert min_edge_boundary(2, k).min_edge_boundary == brute_force_min(k)
+    for k, (_, least, _) in unrestricted_census(2, 5).items():
+        assert min_edge_boundary(2, k).min_edge_boundary == least
 
     elapsed = time.time() - start
     assert elapsed < 300.0

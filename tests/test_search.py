@@ -15,6 +15,7 @@ from kinglattice import (
     canonical_segment,
     central_compress,
     compress_to_fixed_point,
+    count_compressed_sets,
     edge_boundary_count,
     edge_boundary_formula,
     enumerate_compressed_sets,
@@ -32,11 +33,12 @@ import kinglattice.search
 from conftest import box, small_lattice_sets, subprocess_env
 from oracle_helpers import (
     WINDOW_FAMILY_MIN,
-    brute_force_min,
     clique_min,
+    gap_free,
     nb_edge_boundary,
     partition_count,
     planar_partition_min,
+    unrestricted_census,
     window_family_min,
 )
 
@@ -103,6 +105,65 @@ def test_spatial_count_equals_plane_partition_count():
     assert count_plane_partitions(16) == 11297
     for k in range(1, 17):
         assert sum(1 for _ in enumerate_compressed_sets(3, k)) == count_plane_partitions(k)
+
+
+def test_count_equals_partition_and_plane_partition_counts():
+    assert partition_count(60) == 966467
+    for k in range(1, 61):
+        assert count_compressed_sets(2, k) == partition_count(k)
+    assert count_plane_partitions(20) == 75278
+    for k in range(1, 21):
+        assert count_compressed_sets(3, k) == count_plane_partitions(k)
+
+
+def test_count_matches_frozen_values_and_drained_enumeration():
+    for k, expected in enumerate(FIXED_POINT_COUNTS_2D, start=1):
+        assert count_compressed_sets(2, k) == expected
+    for k, expected in enumerate(FIXED_POINT_COUNTS_3D, start=1):
+        assert count_compressed_sets(3, k) == expected
+    for n, sizes in ((4, range(1, 11)), (1, (1, 2, 7, 500))):
+        for k in sizes:
+            drained = sum(1 for _ in enumerate_compressed_sets(n, k))
+            assert count_compressed_sets(n, k) == drained
+
+
+def test_count_cap_is_the_enumeration_cap():
+    size = count_compressed_sets(3, 12)
+    assert size == 1479
+    assert count_compressed_sets(3, 12, max_sets=size) == size
+    message = f"more than {size - 1} compressed sets for n=3, k=12; raise the cap"
+    with pytest.raises(EnumerationOverflowError, match=message):
+        count_compressed_sets(3, 12, max_sets=size - 1)
+    with pytest.raises(EnumerationOverflowError, match=message):
+        list(enumerate_compressed_sets(3, 12, max_sets=size - 1))
+    assert min_edge_boundary(3, 12, max_sets=size).sets_scanned == size
+    with pytest.raises(EnumerationOverflowError, match=message):
+        min_edge_boundary(3, 12, max_sets=size - 1)
+
+
+def test_count_validates_like_the_enumeration():
+    for args, error in (
+        ((0, 3), "dimension must be in 1..12"),
+        ((13, 1), "dimension must be in 1..12"),
+        ((2, 0), "size must be >= 1"),
+        ((2, 406), "more than 2\\^63 - 1 compressed sets"),
+    ):
+        with pytest.raises(ValueError, match=error):
+            count_compressed_sets(*args)
+    with pytest.raises(ValueError, match="max_sets must be >= 1"):
+        count_compressed_sets(2, 3, max_sets=0)
+
+
+def test_sub_layers_by_removal_equal_subset_tests():
+    # the DP's sub-layers come from one-point removals; a subset test over
+    # the whole layer family is the definition they must reproduce
+    for dim, k_max in ((1, 20), (2, 14), (3, 9)):
+        chain = kinglattice.search._LayerChain(dim + 1, 10**6)
+        ids = [c for s in range(1, k_max + 1) for c in chain.family(s)]
+        assert len({chain.points[c] for c in ids}) == len(ids)
+        for layer in ids:
+            inside = [c for c in ids if chain.points[c] <= chain.points[layer]]
+            assert list(chain.sub_layers(layer)) == inside, (dim, layer)
 
 
 def test_enumerate_contains_the_centered_2x2_box():
@@ -186,6 +247,30 @@ def test_cap_stops_enumeration_before_the_family_is_built():
             tracemalloc.stop()
         assert yielded == yields
         assert peak < LAZY_PEAK_BYTES
+
+
+def test_oversized_search_is_refused_after_small_layers_only(monkeypatch, capsys):
+    for dim, size in (("2", "200"), ("3", "30")):
+        assert kinglattice.cli.main(["search", "--dim", dim, "--size", size]) == 1
+        assert capsys.readouterr().err == (
+            f"error: more than 1000000 compressed sets for n={dim}, k={size}; "
+            "raise the cap\n"
+        )
+    built = 0
+    real = kinglattice.search._fixed_point_sets
+
+    def counting(n, k, layers, cap, chain=()):
+        nonlocal built
+        for layer in real(n, k, layers, cap, chain):
+            built += not chain  # a whole family member, not a partial stack
+            yield layer
+
+    monkeypatch.setattr(kinglattice.search, "_fixed_point_sets", counting)
+    with pytest.raises(EnumerationOverflowError, match="n=3, k=30; raise the cap"):
+        min_edge_boundary(3, 30)
+    # (3, 30) has 5 668 963 members, and its first layers alone, the planar
+    # sets of up to 30 points, number 28 628
+    assert 0 < built < 10_000
 
 
 def test_drained_enumeration_leaves_no_family_behind():
@@ -274,9 +359,31 @@ def test_min_matches_window_family_oracle():
         assert min_edge_boundary(2, k).min_edge_boundary == WINDOW_FAMILY_MIN[k]
 
 
-def test_min_matches_unrestricted_brute_force():
-    for k in range(1, 5):
-        assert min_edge_boundary(2, k).min_edge_boundary == brute_force_min(k)
+# King-connected sets up to translation, by size, from Redelmeier's method.
+ANIMAL_COUNTS = {
+    2: [1, 4, 20, 110, 638, 3832, 23592, 147941],
+    3: [1, 13, 237, 4995],
+}
+
+
+@pytest.fixture(scope="module")
+def censuses():
+    """Every king-connected set up to (2, 8), (3, 4) and (4, 4): about 4 s."""
+    return {n: unrestricted_census(n, k_max) for n, k_max in ((2, 8), (3, 4), (4, 4))}
+
+
+def test_animal_enumerator_counts(censuses):
+    for n, counts in ANIMAL_COUNTS.items():
+        assert [entry[0] for entry in censuses[n].values()] == counts
+
+
+def test_min_matches_unrestricted_brute_force(censuses):
+    # the minimum over every k-set, compressed or not, and every minimizer
+    # of it gap-free along all 3^n - 1 directions
+    for n, census in censuses.items():
+        for k, (_, least, minimizers) in census.items():
+            assert min_edge_boundary(n, k).min_edge_boundary == least, (n, k)
+            assert all(gap_free(w) for w in minimizers), (n, k)
 
 
 def test_search_report_witnesses_verify():
@@ -298,11 +405,18 @@ FROZEN_MINIMA = [
     (2, 12, 36, 1),
     (2, 16, 42, 2),
     (2, 20, 48, 7),
+    (2, 24, 52, 3),
+    (2, 40, 68, 19),
     (3, 4, 92, 4),
     (3, 6, 126, 3),
     (3, 8, 152, 1),
+    (3, 12, 212, 6),
+    (3, 16, 260, 1),
+    (3, 20, 302, 1),
     (4, 4, 308, 10),
     (4, 6, 450, 18),
+    (4, 8, 584, 24),
+    (4, 12, 828, 10),
 ]
 
 
@@ -314,8 +428,8 @@ def test_exhaustive_search_reproduces_frozen_minima(n, k, minimum, witnesses):
     assert len(r.witnesses) == witnesses
 
 
-# ROADMAP's frozen planar minima and witness counts, one size past the table.
-PLANAR_FROZEN = {k: (m, w) for n, k, m, w in FROZEN_MINIMA if n == 2} | {24: (52, 3)}
+# ROADMAP's frozen planar minima and witness counts.
+PLANAR_FROZEN = {k: (m, w) for n, k, m, w in FROZEN_MINIMA if n == 2}
 
 
 @pytest.mark.parametrize("k", [*range(1, 19), 20, 22, 24])
@@ -327,7 +441,7 @@ def test_planar_search_matches_partition_oracle(k):
 
 
 def full_scan(n, k):
-    """Score every family member by both routes, with no orbit reduction.
+    """Score every family member by both routes, one set at a time.
 
     Returns the minimum, the minimizers normalized and sorted as a report
     lists them, and the number of sets scored.
@@ -345,9 +459,11 @@ def full_scan(n, k):
     return best, witnesses, len(scores)
 
 
-# (12, 1) would not finish if the search walked all 12! coordinate orders.
-SCAN_CASES = [(n, k) for n, k, _, _ in FROZEN_MINIMA] + [
-    (1, 7), (5, 3), (8, 2), (12, 1)
+# A full scan scores every member by both routes, so it stays at sizes that
+# take a second at most; at (2, 40) and (3, 20) it would take over ten.
+SCAN_CASES = [
+    (2, 8), (2, 12), (2, 16), (2, 20), (3, 4), (3, 6), (3, 8), (4, 4), (4, 6),
+    (1, 7), (5, 3), (8, 2), (12, 1),
 ]
 
 
@@ -391,13 +507,8 @@ def coordinate_images(ps):
     }
 
 
-def sorts_first_in_orbit(ps):
-    key = sorted(ps.points)
-    return all(key <= sorted(image) for image in coordinate_images(ps))
-
-
 def test_family_is_closed_under_coordinate_permutations():
-    # the search scores one member per orbit, which rests on this
+    # coordinate permutations keep the boundary, so witnesses come in orbits
     for n, k_max in ((3, 8), (4, 6)):
         for k in range(1, k_max + 1):
             family = {ps.points for ps in enumerate_compressed_sets(n, k)}
@@ -405,7 +516,7 @@ def test_family_is_closed_under_coordinate_permutations():
                 assert coordinate_images(PointSet(n, pts)) <= family
 
 
-def test_search_checks_each_representative_and_witness_once(monkeypatch):
+def test_search_checks_each_witness_once(monkeypatch):
     checked = []
     real = kinglattice.search._verify_candidate
 
@@ -415,48 +526,40 @@ def test_search_checks_each_representative_and_witness_once(monkeypatch):
 
     monkeypatch.setattr(kinglattice.search, "_verify_candidate", recording)
     r = min_edge_boundary(3, 12)
-    family = list(enumerate_compressed_sets(3, 12))
-    firsts = {ps.points for ps in family if sorts_first_in_orbit(ps)}
-    minimizers = {
-        ps.points
-        for ps in family
-        if edge_boundary_count(ps) == r.min_edge_boundary
-    }
-    assert r.sets_scanned == len(family) == 1479
-    assert len(firsts) == 267
-    assert minimizers - firsts  # some witnesses are not scored in the scan
-    assert len(checked) == len(firsts) + len(minimizers - firsts)
-    assert len(set(checked)) == len(checked)
-    assert set(checked) == firsts | minimizers
+    assert r.sets_scanned == 1479
+    assert checked == [w.points for w in r.witnesses]
+    assert len(checked) == 6
 
 
-def test_disagreement_on_an_unscored_witness_is_caught(monkeypatch, capsys):
+def test_disagreement_on_a_witness_is_caught(monkeypatch, capsys):
     real = kinglattice.search.edge_boundary_count
 
-    def off_by_one_unless_first(ps):
-        return real(ps) + (not sorts_first_in_orbit(ps))
+    def off_by_one(ps):
+        return real(ps) + 1
 
-    monkeypatch.setattr(
-        kinglattice.search, "edge_boundary_count", off_by_one_unless_first
-    )
+    monkeypatch.setattr(kinglattice.search, "edge_boundary_count", off_by_one)
     with pytest.raises(RuntimeError, match="disagree"):
         min_edge_boundary(3, 4)
     assert kinglattice.cli.main(["search", "--dim", "3", "--size", "4"]) == 2
     assert "invariant violation" in capsys.readouterr().err
 
 
-def test_unscored_witness_off_the_minimum_is_caught(monkeypatch):
-    # the routes agree, but not with the boundary of the orbit's first member
+def test_witness_off_the_dp_optimum_is_caught(monkeypatch, capsys):
+    # the routes agree on every witness, but the last one's total is not the
+    # DP's k(3^n - 1) - 2 E_int
+    expected = min_edge_boundary(3, 4)
+    last = expected.witnesses[-1]
     real = kinglattice.search._verify_candidate
 
     def shifted(ps):
         b = real(ps)
-        shift = not sorts_first_in_orbit(ps)
-        return BoundaryBreakdown(b.per_direction, b.total + shift)
+        return BoundaryBreakdown(b.per_direction, b.total + (ps == last))
 
     monkeypatch.setattr(kinglattice.search, "_verify_candidate", shifted)
-    with pytest.raises(RuntimeError, match="orbit"):
+    with pytest.raises(RuntimeError, match="layer-chain DP gives 92$"):
         min_edge_boundary(3, 4)
+    assert kinglattice.cli.main(["search", "--dim", "3", "--size", "4"]) == 2
+    assert "invariant violation" in capsys.readouterr().err
 
 
 def test_witness_gap_census_reads_the_checked_breakdown(monkeypatch):

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from itertools import islice, product
 from operator import add
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Point, PointSet, _check_dimension
 from .boundary import (
@@ -36,6 +36,7 @@ DEFAULT_MAX_SETS = 1_000_000
 # Refusing larger sizes also bounds the enumeration's recursion depth.
 MAX_SIZE = 405
 _Layers = dict[tuple[int, int], tuple[frozenset[Point], ...]]
+_State = tuple[int, ...]
 
 
 class EnumerationOverflowError(ValueError):
@@ -134,6 +135,37 @@ def enumerate_compressed_sets(
             raise EnumerationOverflowError
     except EnumerationOverflowError:
         raise _overflow(n, k, max_sets) from None
+
+
+def _post_order(
+    memo: dict[_State, int], root: _State, children: Callable[[_State], list[_State]]
+) -> Iterator[tuple[_State, list[_State]]]:
+    """Yield ``root`` and the states it needs that ``memo`` lacks, children first.
+
+    A state's last entry is its points left; states with none left are
+    leaves, with no children.  Each state comes with its children, all in
+    ``memo`` by then except the leaves, which the caller values itself; the
+    caller stores the state's value in ``memo`` before asking for the next.
+    An explicit stack replaces recursion, so a chain of any length, such as
+    the k one-point layers of a segment in Z^1, uses no Python frames.
+    Children have fewer points left than their parent, so there are no
+    cycles.
+    """
+    todo: list[tuple[_State, list[_State] | None]] = [(root, None)]
+    while todo:
+        state, kids = todo[-1]
+        if state in memo:  # pushed again before it was settled
+            todo.pop()
+            continue
+        if kids is None:
+            kids = children(state) if state[-1] else []
+            missing = [(kid, None) for kid in kids if kid[-1] and kid not in memo]
+            if missing:
+                todo[-1] = (state, kids)
+                todo.extend(missing)
+                continue
+        todo.pop()
+        yield state, kids
 
 
 class _LayerChain:
@@ -240,23 +272,27 @@ class _LayerChain:
             memo[a, c] = total
         return total
 
+    def steps(self, b: int, r: int) -> list[tuple[int, int]]:
+        """(C, r - |C|) for each layer C inside layer b with |C| <= r."""
+        out = []
+        for c in self.sub_layers(b):
+            s = self.size[c]
+            if s > r:
+                break
+            out.append((c, r - s))
+        return out
+
     def count(self, b: int, r: int) -> int:
-        """Chains that follow layer b with r more points, saturating at cap + 1."""
-        if r == 0:
-            return 1
-        ways = self._count.get((b, r))
-        if ways is None:
-            ways = 0
-            for c in self.sub_layers(b):
-                s = self.size[c]
-                if s > r:
-                    break
-                ways += self.count(c, r - s)
-                if ways > self.cap:
-                    ways = self.cap + 1
-                    break
-            self._count[b, r] = ways
-        return ways
+        """Chains that follow layer b with r more points, saturating at cap + 1.
+
+        g(B, r) = [r = 0] + sum of g(C, r - |C|) over the steps from B.
+        """
+        memo = self._count
+        root = (b, r)
+        for state, steps in _post_order(memo, root, lambda s: self.steps(*s)):
+            ways = (state[1] == 0) + sum(memo[c, t] if t else 1 for c, t in steps)
+            memo[state] = min(ways, self.cap + 1)
+        return memo[root]
 
     def family_size(self, k: int) -> int:
         """Size of the size-k family in Z^n; first layers go smallest first."""
@@ -270,20 +306,17 @@ class _LayerChain:
 
     def best(self, a: int, b: int, r: int) -> int:
         """f(A, B, r): the most edges r more points add after layers A and B."""
-        if r == 0:
-            return 0
-        gain = self._best.get((a, b, r))
-        if gain is None:
-            gain = 0
-            for c in self.sub_layers(b):
-                s = self.size[c]
-                if s > r:
-                    break
-                gain = max(
-                    gain, self.edges[c] + self.cross(a, c) + self.best(b, c, r - s)
-                )
-            self._best[a, b, r] = gain
-        return gain
+        memo = self._best
+        root = (a, b, r)
+        for state, nexts in _post_order(
+            memo, root, lambda s: [(s[1], c, t) for c, t in self.steps(*s[1:])]
+        ):
+            gains = (
+                self.edges[c] + self.cross(state[0], c) + (memo[b, c, t] if t else 0)
+                for b, c, t in nexts
+            )
+            memo[state] = max(gains, default=0)
+        return memo[root]
 
     def optimal_chains(self, k: int) -> tuple[int, list[tuple[int, ...]]]:
         """The largest E_int over the size-k family, and every chain reaching it."""
@@ -301,12 +334,9 @@ class _LayerChain:
                 chains.append(chain)
                 continue
             want = self.best(a, b, r)
-            for c in self.sub_layers(b):
-                s = self.size[c]
-                if s > r:
-                    break
-                if self.edges[c] + self.cross(a, c) + self.best(b, c, r - s) == want:
-                    todo.append((b, c, r - s, chain + (c,)))
+            for c, t in self.steps(b, r):
+                if self.edges[c] + self.cross(a, c) + self.best(b, c, t) == want:
+                    todo.append((b, c, t, chain + (c,)))
         return most, chains
 
 

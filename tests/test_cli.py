@@ -471,6 +471,17 @@ def test_cli_search_plain_golden(capsys, dim, size, expected):
     assert (code, out, err) == (0, expected, "")
 
 
+def test_cli_search_answers_long_lines(capsys):
+    # n = 1 has no size ceiling, and its layer chain is one point per layer
+    code, out, err = run_cli(capsys, "search", "--dim", "1", "--size", "2000")
+    assert (code, err) == (0, "")
+    assert out.startswith(
+        "dim 1  size 2000  min edge boundary 2\n"
+        "method exhaustive  optimal yes  sets scanned 1\n"
+        "witness evb=2 gap_free=yes: (0) (1) (2) "
+    )
+
+
 def test_cli_search_json_round_trips(capsys):
     code, out, err = run_cli(
         capsys, "search", "--dim", "2", "--size", "12", "--format", "json"

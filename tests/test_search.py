@@ -83,6 +83,9 @@ def test_planar_count_equals_partition_count():
     assert [partition_count(k) for k in range(1, 13)] == FIXED_POINT_COUNTS_2D
     for k in range(1, 31):
         assert sum(1 for _ in enumerate_compressed_sets(2, k)) == partition_count(k)
+    assert [count_compressed_sets(2, k) for k in range(1, 61)] == [
+        partition_count(k) for k in range(1, 61)
+    ]
 
 
 def test_sizes_past_the_ceiling_are_refused_before_any_work():
@@ -105,23 +108,15 @@ def test_spatial_count_equals_plane_partition_count():
     assert count_plane_partitions(16) == 11297
     for k in range(1, 17):
         assert sum(1 for _ in enumerate_compressed_sets(3, k)) == count_plane_partitions(k)
+    assert [count_compressed_sets(3, k) for k in range(1, 21)] == [
+        count_plane_partitions(k) for k in range(1, 21)
+    ]
 
 
-def test_count_equals_partition_and_plane_partition_counts():
-    assert partition_count(60) == 966467
-    for k in range(1, 61):
-        assert count_compressed_sets(2, k) == partition_count(k)
-    assert count_plane_partitions(20) == 75278
-    for k in range(1, 21):
-        assert count_compressed_sets(3, k) == count_plane_partitions(k)
-
-
-def test_count_matches_frozen_values_and_drained_enumeration():
-    for k, expected in enumerate(FIXED_POINT_COUNTS_2D, start=1):
-        assert count_compressed_sets(2, k) == expected
-    for k, expected in enumerate(FIXED_POINT_COUNTS_3D, start=1):
-        assert count_compressed_sets(3, k) == expected
-    for n, sizes in ((4, range(1, 11)), (1, (1, 2, 7, 500))):
+def test_count_equals_drained_enumeration():
+    # in Z^1 a size-k chain is k one-point layers, and n = 1 has no size
+    # ceiling, so 2000 is past both MAX_SIZE and Python's recursion limit
+    for n, sizes in ((4, range(1, 11)), (1, (1, 2, 7, 500, 2000))):
         for k in sizes:
             drained = sum(1 for _ in enumerate_compressed_sets(n, k))
             assert count_compressed_sets(n, k) == drained
@@ -336,10 +331,11 @@ def test_fully_gap_free_matches_all_direction_definition(ps):
 
 
 def test_min_edge_boundary_line():
-    r = min_edge_boundary(1, 7)
-    assert r.min_edge_boundary == 2
-    assert r.optimal and r.method == "exhaustive"
-    assert len(r.witnesses) == 1
+    for k in (7, 2000):  # 2000 layers: past the recursion limit
+        r = min_edge_boundary(1, k)
+        assert r.min_edge_boundary == 2
+        assert r.optimal and r.method == "exhaustive"
+        assert r.witnesses == (PointSet(1, frozenset((x,) for x in range(k))),)
 
 
 def test_min_edge_boundary_small_planar_cases():

@@ -17,9 +17,10 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from itertools import islice, product
+from bisect import bisect_left
+from itertools import compress, product, repeat
 from operator import add
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import Point, PointSet, _check_dimension
 from .boundary import (
@@ -28,14 +29,13 @@ from .boundary import (
     edge_boundary_formula,
     exterior_vertex_boundary,
 )
-from .compression import canonical_segment
 
 DEFAULT_MAX_SETS = 1_000_000
 # Padding a planar fixed point with zero coordinates gives one in Z^n, so for
 # n >= 2 the size-k family has at least p(k) members, and p(406) > 2^63 - 1.
-# Refusing larger sizes also bounds the enumeration's recursion depth.
+# No cap lets a walk or a search of that many sets finish, so larger sizes are
+# refused at any cap, before any layer is built.
 MAX_SIZE = 405
-_Layers = dict[tuple[int, int], tuple[frozenset[Point], ...]]
 _State = tuple[int, ...]
 
 
@@ -74,69 +74,6 @@ def _overflow(n: int, k: int, max_sets: int) -> EnumerationOverflowError:
     )
 
 
-def _stack(layers: Iterable[frozenset[Point]]) -> frozenset[Point]:
-    """The set whose layers along the last axis are ``layers``, center out."""
-    pts: set[Point] = set()
-    for depth, layer in enumerate(layers, start=1):
-        y = depth // 2 if depth % 2 == 0 else -(depth // 2)
-        pts.update(q + (y,) for q in layer)
-    return frozenset(pts)
-
-
-def _fixed_point_sets(
-    n: int, k: int, layers: _Layers, cap: int, chain: tuple[frozenset[Point], ...] = ()
-) -> Iterator[frozenset[Point]]:
-    """Yield each set in Z^n with centered axis sections: ``chain`` plus k points.
-
-    ``chain`` holds the layers stacked so far along the last axis.  Layer depth
-    m = 1, 2, 3, ... sits at coordinate 0, 1, -1, 2, -2, ...; a section through
-    the stack picks up exactly the layers containing its column, so sections
-    along the last axis are centered runs iff consecutive layers are nested.
-    ``layers`` memoizes the lower-dimensional families by (dimension, size),
-    each built under ``cap``: stacking {0} layers on each size-s layer, s <= k,
-    embeds that family in the size-k one, so it passes the cap no sooner.
-    Layer sizes go smallest first, so the first set waits on no large family.
-    """
-    if n == 1:
-        yield frozenset((x,) for x in canonical_segment(k))
-        return
-    if k == 0:
-        yield _stack(chain)
-        return
-    largest = min(k, len(chain[-1])) if chain else k
-    for size in range(1, largest + 1):
-        if (n - 1, size) not in layers:
-            family = tuple(islice(_fixed_point_sets(n - 1, size, layers, cap), cap + 1))
-            if len(family) > cap:
-                raise EnumerationOverflowError
-            layers[n - 1, size] = family
-        for layer in layers[n - 1, size]:
-            if not chain or layer <= chain[-1]:
-                yield from _fixed_point_sets(n, k - size, layers, cap, chain + (layer,))
-
-
-def enumerate_compressed_sets(
-    n: int, k: int, max_sets: int = DEFAULT_MAX_SETS
-) -> Iterator[PointSet]:
-    """Lazily yield every size-k set fixed by central compression on every axis.
-
-    Sets are built one at a time, so ``max_sets`` bounds the work, layer
-    families included; exceeding it raises EnumerationOverflowError rather
-    than truncating, as does any k above MAX_SIZE for n >= 2, at any cap.
-    No two sets are translates of each other, and all coordinates stay
-    within ceil(k/2) + 1 of the origin.
-    """
-    _check_request(n, k, max_sets)
-    sets = _fixed_point_sets(n, k, {}, max_sets)
-    try:
-        for pts in islice(sets, max_sets):
-            yield PointSet(n, pts)
-        if next(sets, None) is not None:
-            raise EnumerationOverflowError
-    except EnumerationOverflowError:
-        raise _overflow(n, k, max_sets) from None
-
-
 def _post_order(
     memo: dict[_State, int], root: _State, children: Callable[[_State], list[_State]]
 ) -> Iterator[tuple[_State, list[_State]]]:
@@ -169,44 +106,42 @@ def _post_order(
 
 
 class _LayerChain:
-    """Tables for the DP over nested chains of (n-1)-dimensional layers.
+    """Tables for walks and a DP over nested chains of (n-1)-dimensional layers.
 
-    A fixed point S in Z^n is a chain L1 ⊇ L2 ⊇ ... of fixed points in
-    Z^(n-1) at heights 0, 1, -1, 2, -2, ... (see ``_fixed_point_sets``).
+    A fixed point S in Z^n is a chain L1 ⊇ L2 ⊇ ... of layers, fixed points
+    in Z^(n-1), at heights 0, 1, -1, 2, -2, ... (see ``stack``).  A set has
+    every axis section centered iff it is a down-set of the product of
+    n - 1 copies of the order 0 < 1 < -1 < 2 < -2 < ..., so the size-s
+    layers are the size-(s-1) layers L, each with one point p minimal
+    outside it added.  L + p keeps every such (L, p): these are all its
+    one-point removals that are layers, as L - {p} is a down-set iff p is
+    maximal in L.  Ids ascend with size, in a fixed order within a size.
+    A layer's sub-layers are it and its removals' sub-layers: for down-sets
+    C ⊊ L, a p maximal in L - C is maximal in L, as C is a down-set, so
+    L - {p} is a layer that contains C; induct on |L - C|.
+
     Layers at adjacent heights are (L1, L2), (L1, L3) and (L_m, L_(m+2)) for
     m >= 2, so S's inside edges E_int(S) are the sum of E(L_m), the edges
     inside each layer, and of cross(A, C) = sum over c in C of |N[c] ∩ A|
     over those pairs, N[c] being c's closed king neighbourhood in Z^(n-1).
     With a virtual L0 = L1 every step has the same form: after layers A and
     B, with r points left, the next layer C ⊆ B scores E(C) + cross(A, C).
-
-    Layers get int ids one size at a time, so ids ascend with size.  Each
-    size's family comes from ``_fixed_point_sets`` under ``cap`` when first
-    needed.  A layer's sub-layers, every layer inside it, are the layer and
-    the sub-layers of each one-point removal L - {p} that is a layer, found
-    through a hash index.  That finds them all: a set has every axis section
-    centered iff it is a down-set of the product of n - 1 copies of the
-    order 0 < 1 < -1 < 2 < -2 < ....  For down-sets C ⊊ L take p maximal in
-    L - C; every point of L above p is outside C too, as C is a down-set, so
-    p is maximal in L and L - {p} is a down-set that contains C; induct on
-    |L - C|.  E and cross grow along the same removals:
-    E(L) = E(L - {p}) + |N(p) ∩ L| and cross(A, C) = cross(A, C - {p}) +
-    |N[p] ∩ A|.
+    E and cross grow along the removals: E(L) = E(L - {p}) + |N(p) ∩ L| and
+    cross(A, C) = cross(A, C - {p}) + |N[p] ∩ A|.
     """
 
     def __init__(self, n: int, cap: int) -> None:
-        self.dim = n - 1
         self.cap = cap
-        self.closed = tuple(product((-1, 0, 1), repeat=n - 1))
         self.points: list[frozenset[Point]] = []
         self.size: list[int] = []
         self.edges: list[int] = []
-        # (id of L - {p}, p) for each one-point removal; id -1 is the empty set
-        self.removals: list[list[tuple[int, Point]]] = []
+        self.removal: list[tuple[int, Point]] = []  # one (id of L - {p}, p); -1 is {}
+        self.below: list[tuple[int, ...]] = []  # ids of every nonempty L - {p}
         self._starts = [0]  # ids of size s are range(_starts[s - 1], _starts[s])
-        self._index: dict[frozenset[Point], int] = {frozenset(): -1}
-        self._families: _Layers = {}
-        self._sub: dict[int, tuple[int, ...]] = {}
+        # each layer of the largest size built, with the points minimal outside it
+        self._fringe = {-1: (frozenset(), [(0,) * (n - 1)])}
+        self._nears: dict[Point, tuple[tuple[Point, ...], ...]] = {}
+        self._sub: dict[int, tuple[int, ...]] = {}  # for the DP only
         self._cross: dict[tuple[int, int], int] = {}
         self._count: dict[tuple[int, int], int] = {}
         self._best: dict[tuple[int, int, int], int] = {}
@@ -218,69 +153,122 @@ class _LayerChain:
         return range(self._starts[s - 1], self._starts[s])
 
     def _add_size(self, s: int) -> None:
-        if self.dim == 0:
-            family: tuple[frozenset[Point], ...] = (frozenset({()}),) if s == 1 else ()
-        else:
-            sets = _fixed_point_sets(self.dim, s, self._families, self.cap)
-            family = tuple(islice(sets, self.cap + 1))
-            if len(family) > self.cap:
-                raise EnumerationOverflowError
-        for layer in family:
-            removals = [
-                (self._index[rest], p)
-                for p in sorted(layer)
-                if (rest := layer - {p}) in self._index
-            ]
+        grown: dict[frozenset[Point], list[tuple[int, Point]]] = {}
+        for rest, (layer, corners) in self._fringe.items():
+            for p in corners:
+                grown.setdefault(layer | {p}, []).append((rest, p))
+                if len(grown) > self.cap:
+                    raise EnumerationOverflowError
+        fringe = {}
+        for layer, removals in grown.items():
             rest, p = removals[0]
+            ups, _, around = self._near(p)
+            # p's up-steps are the only points that adding p can make minimal
+            corners = [q for q in self._fringe[rest][1] if q != p]
+            corners += [u for u in ups if layer.issuperset(self._near(u)[1])]
+            fringe[len(self.points)] = layer, corners
             below = self.edges[rest] if rest >= 0 else 0
-            self._index[layer] = len(self.points)
             self.points.append(layer)
             self.size.append(s)
-            self.edges.append(below + self._touching(p, layer) - 1)
-            self.removals.append(removals)
+            self.edges.append(below + sum(map(layer.__contains__, around)) - 1)
+            self.removal.append((rest, p))
+            self.below.append(tuple(rest for rest, _ in removals if rest >= 0))
+        self._fringe = fringe
         self._starts.append(len(self.points))
 
-    def _touching(self, p: Point, layer: frozenset[Point]) -> int:
-        """|N[p] ∩ layer|."""
-        return sum(tuple(map(add, p, d)) in layer for d in self.closed)
+    def stack(self, chain: Iterable[int]) -> frozenset[Point]:
+        """The set in Z^n whose layers along the last axis are ``chain``.
+
+        Depth m = 1, 2, 3, ... sits at height 0, 1, -1, 2, -2, ...; a section
+        through the stack meets exactly the layers holding its column, so
+        sections along the last axis are centered runs iff the layers nest.
+        """
+        pts: set[Point] = set()
+        for depth, c in enumerate(chain, start=1):
+            y = depth // 2 if depth % 2 == 0 else -(depth // 2)
+            pts.update(map(add, self.points[c], repeat((y,))))
+        return frozenset(pts)
+
+    def _near(self, q: Point) -> tuple[tuple[Point, ...], ...]:
+        """q one place up the order 0 < 1 < -1 < 2 < ... on each axis, one
+        place down on each axis where q is not 0, and N[q]."""
+        near = self._nears.get(q)
+        if near is None:
+            cut = [(q[:i], x, q[i + 1 :]) for i, x in enumerate(q)]
+            closed = product((-1, 0, 1), repeat=len(q))
+            near = self._nears[q] = (
+                tuple(a + (-x if x > 0 else 1 - x,) + b for a, x, b in cut),
+                tuple(a + (1 - x if x > 0 else -x,) + b for a, x, b in cut if x),
+                tuple(tuple(map(add, q, d)) for d in closed),
+            )
+        return near
 
     def sub_layers(self, b: int) -> tuple[int, ...]:
         """Every layer inside layer b, b included, in ascending id order."""
-        subs = self._sub.get(b)
-        if subs is None:
-            seen = {b}
-            todo = [b]
-            for c in todo:  # grows while it is walked
-                for rest, _ in self.removals[c]:
-                    if rest >= 0 and rest not in seen:
-                        seen.add(rest)
-                        todo.append(rest)
-            subs = self._sub[b] = tuple(sorted(seen))
-        return subs
+        subs, level = {b}, (b,)
+        while level:  # each path down from b to C takes |b| - |C| removals
+            level = set().union(*map(self.below.__getitem__, level))
+            subs |= level
+        return tuple(sorted(subs))
+
+    def _within(self, subs: Sequence[int], r: int) -> Sequence[int]:
+        """The layers of ``subs``, in ascending id order, with at most r points."""
+        return subs[: bisect_left(subs, self._starts[min(r, len(self._starts) - 1)])]
 
     def cross(self, a: int, c: int) -> int:
         """cross(A, C) for layer C inside layer A, walked down C's removals."""
         memo = self._cross
         path = []
         while c >= 0 and (a, c) not in memo:
-            rest, p = self.removals[c][0]
+            rest, p = self.removal[c]
             path.append((c, p))
             c = rest
         total = memo[a, c] if c >= 0 else 0
         for c, p in reversed(path):
-            total += self._touching(p, self.points[a])
+            total += sum(map(self.points[a].__contains__, self._near(p)[2]))
             memo[a, c] = total
         return total
 
     def steps(self, b: int, r: int) -> list[tuple[int, int]]:
         """(C, r - |C|) for each layer C inside layer b with |C| <= r."""
-        out = []
-        for c in self.sub_layers(b):
-            s = self.size[c]
-            if s > r:
-                break
-            out.append((c, r - s))
-        return out
+        subs = self._sub.get(b)
+        if subs is None:
+            subs = self._sub[b] = self.sub_layers(b)
+        return [(c, r - self.size[c]) for c in self._within(subs, r)]
+
+    def walk(
+        self, k: int, firsts: Iterable[int], keep: Callable[..., bool] | None = None
+    ) -> Iterator[list[int]]:
+        """Each chain of layers with k points in all, first layer from ``firsts``.
+
+        Depth first on an explicit stack; a lazy ``firsts`` builds no layer
+        family before the walk reaches it.  The step from layers A and B, r
+        points left, to C, t left, is taken iff ``keep(A, B, r, C, t)``, if
+        given.  Each chain is the walk's own list, changed when it resumes.
+        """
+        chain: list[int] = []
+        points = self.points
+        for first in firsts:
+            # (depth, layer, points left before it, the layers it was picked from)
+            todo = [(0, first, k, range(len(points)))]
+            while todo:
+                depth, b, r, pool = todo.pop()
+                r -= self.size[b]
+                del chain[depth:]
+                chain.append(b)
+                if r == 0:
+                    yield chain
+                    continue
+                # b's sub-layers with at most r points, all in the pool b came from
+                a = chain[depth - 1] if depth else b
+                subs = self._within(pool, r)
+                if a != b or not depth:
+                    inside = map(points[b].issuperset, map(points.__getitem__, subs))
+                    subs = list(compress(subs, inside))
+                nexts = subs
+                if keep is not None:
+                    nexts = [c for c in subs if keep(a, b, r, c, r - self.size[c])]
+                todo.extend(zip(repeat(depth + 1), nexts, repeat(r), repeat(subs)))
 
     def count(self, b: int, r: int) -> int:
         """Chains that follow layer b with r more points, saturating at cap + 1.
@@ -318,26 +306,20 @@ class _LayerChain:
             memo[state] = max(gains, default=0)
         return memo[root]
 
-    def optimal_chains(self, k: int) -> tuple[int, list[tuple[int, ...]]]:
-        """The largest E_int over the size-k family, and every chain reaching it."""
-        firsts = {
-            a: self.edges[a] + self.best(a, a, k - s)
-            for s in range(1, k + 1)
-            for a in self.family(s)
+    def optimal_sets(self, k: int) -> tuple[int, list[frozenset[Point]]]:
+        """The largest E_int over the size-k family, and every set reaching it."""
+        firsts = {  # ids ascend with size, so these are all layers of at most k
+            a: self.edges[a] + self.best(a, a, k - self.size[a])
+            for a in range(self.family(k).stop)
         }
         most = max(firsts.values())
-        chains = []
-        todo = [(a, a, k - self.size[a], (a,)) for a, e in firsts.items() if e == most]
-        while todo:
-            a, b, r, chain = todo.pop()
-            if r == 0:
-                chains.append(chain)
-                continue
-            want = self.best(a, b, r)
-            for c, t in self.steps(b, r):
-                if self.edges[c] + self.cross(a, c) + self.best(b, c, t) == want:
-                    todo.append((b, c, t, chain + (c,)))
-        return most, chains
+
+        def on_best(a: int, b: int, r: int, c: int, t: int) -> bool:
+            gain = self.edges[c] + self.cross(a, c) + self.best(b, c, t)
+            return gain == self.best(a, b, r)
+
+        tops = [a for a, e in firsts.items() if e == most]
+        return most, [self.stack(chain) for chain in self.walk(k, tops, on_best)]
 
 
 def _counted_chains(n: int, k: int, max_sets: int) -> tuple[_LayerChain, int]:
@@ -361,6 +343,31 @@ def count_compressed_sets(n: int, k: int, max_sets: int = DEFAULT_MAX_SETS) -> i
     only small layer families are built.
     """
     return _counted_chains(n, k, max_sets)[1]
+
+
+def enumerate_compressed_sets(
+    n: int, k: int, max_sets: int = DEFAULT_MAX_SETS
+) -> Iterator[PointSet]:
+    """Lazily yield every size-k set fixed by central compression on every axis.
+
+    Sets are built one at a time by walking layer chains, first layers
+    smallest first, so ``max_sets`` bounds the work, layer families
+    included; exceeding it raises EnumerationOverflowError rather than
+    truncating, as does any k above MAX_SIZE for n >= 2, at any cap.  The
+    order is deterministic but not promised: it may change between versions.
+    No two sets are translates of each other, and all coordinates stay
+    within ceil(k/2) + 1 of the origin.
+    """
+    _check_request(n, k, max_sets)
+    chains = _LayerChain(n, max_sets)
+    firsts = (a for s in range(1, k + 1) for a in chains.family(s))
+    try:
+        for count, chain in enumerate(chains.walk(k, firsts), start=1):
+            if count > max_sets:
+                raise EnumerationOverflowError
+            yield PointSet(n, chains.stack(chain))
+    except EnumerationOverflowError:
+        raise _overflow(n, k, max_sets) from None
 
 
 def random_point_set(
@@ -445,15 +452,10 @@ def min_edge_boundary(
     EnumerationOverflowError, as enumerating it would, before the DP runs.
     """
     chains, scanned = _counted_chains(n, k, max_sets)
-    inside, tying = chains.optimal_chains(k)
-    witnesses = sorted(
-        (
-            PointSet(n, _stack(chains.points[c] for c in chain)).normalized()
-            for chain in tying
-        ),
-        key=lambda ps: sorted(ps.points),
-    )
-    del chains, tying  # the tables are not needed by the checks
+    inside, tying = chains.optimal_sets(k)
+    del chains  # the tables are not needed by the checks
+    witnesses = [PointSet(n, pts).normalized() for pts in tying]
+    witnesses.sort(key=lambda ps: sorted(ps.points))
     best = k * (3**n - 1) - 2 * inside
     found = []
     for ps in witnesses:
@@ -490,7 +492,4 @@ def survey_gap_free_optima(
     if k_max < 1:
         raise ValueError(f"size must be >= 1, got {k_max}")
     _check_family(n, k_max)
-    return [
-        min_edge_boundary(n, k, max_sets=max_sets)
-        for k in range(1, k_max + 1)
-    ]
+    return [min_edge_boundary(n, k, max_sets=max_sets) for k in range(1, k_max + 1)]

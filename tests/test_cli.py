@@ -535,8 +535,7 @@ def test_enumeration_overflow_is_bad_input(capsys):
     ids=["search-2-1200", "search-4-1000-cap-5", "survey-2-406-cap-5"],
 )
 def test_sizes_past_the_ceiling_exit_1_at_any_cap(capsys, argv, k):
-    # refused before the enumeration recurses one frame per layer past
-    # Python's recursion limit, which would be an invariant violation
+    # refused at once: past the ceiling no cap lets the family be walked
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     n = argv[2]

@@ -37,6 +37,8 @@ from oracle_helpers import (
     gap_free,
     nb_edge_boundary,
     partition_count,
+    partition_set,
+    partitions,
     planar_partition_min,
     unrestricted_census,
     window_family_min,
@@ -136,6 +138,22 @@ def test_count_cap_is_the_enumeration_cap():
         min_edge_boundary(3, 12, max_sets=size - 1)
 
 
+def test_caps_past_sys_maxsize_are_accepted(capsys):
+    # the cap is compared with counts, never used as an index or a length
+    huge = 10**20
+    assert count_compressed_sets(3, 5, max_sets=huge) == 24
+    assert sum(1 for _ in enumerate_compressed_sets(3, 5, max_sets=huge)) == 24
+    assert min_edge_boundary(2, 3, max_sets=huge).sets_scanned == 3
+    for command, last in (
+        ("search", "witness evb=12 gap_free=yes: (0,0) (0,1) (1,0)"),
+        ("survey", "   3   18          1  yes            yes"),
+    ):
+        argv = [command, "--dim", "2", "--size", "3", "--max-sets", str(huge)]
+        assert kinglattice.cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert (err, out.splitlines()[-1]) == ("", last)
+
+
 def test_count_validates_like_the_enumeration():
     for args, error in (
         ((0, 3), "dimension must be in 1..12"),
@@ -159,6 +177,18 @@ def test_sub_layers_by_removal_equal_subset_tests():
         for layer in ids:
             inside = [c for c in ids if chain.points[c] <= chain.points[layer]]
             assert list(chain.sub_layers(layer)) == inside, (dim, layer)
+    # layers grow one minimal point at a time; the oracles build the same
+    # families from segments and partitions, sharing no code with the growth
+    line = kinglattice.search._LayerChain(2, 10**6)
+    plane = kinglattice.search._LayerChain(3, 10**6)
+    for s in range(1, 15):
+        assert [line.points[c] for c in line.family(s)] == [
+            frozenset((x,) for x in canonical_segment(s))
+        ]
+        assert {plane.points[c] for c in plane.family(s)} == {
+            partition_set(p) for p in partitions(s)
+        }
+        assert len(plane.family(s)) == partition_count(s)
 
 
 def test_enumerate_contains_the_centered_2x2_box():
@@ -252,15 +282,15 @@ def test_oversized_search_is_refused_after_small_layers_only(monkeypatch, capsys
             "raise the cap\n"
         )
     built = 0
-    real = kinglattice.search._fixed_point_sets
+    real = kinglattice.search._LayerChain._add_size
 
-    def counting(n, k, layers, cap, chain=()):
+    def counting(self, s):
         nonlocal built
-        for layer in real(n, k, layers, cap, chain):
-            built += not chain  # a whole family member, not a partial stack
-            yield layer
+        before = len(self.points)
+        real(self, s)
+        built += len(self.points) - before
 
-    monkeypatch.setattr(kinglattice.search, "_fixed_point_sets", counting)
+    monkeypatch.setattr(kinglattice.search._LayerChain, "_add_size", counting)
     with pytest.raises(EnumerationOverflowError, match="n=3, k=30; raise the cap"):
         min_edge_boundary(3, 30)
     # (3, 30) has 5 668 963 members, and its first layers alone, the planar

@@ -1,8 +1,10 @@
 """Finite-set geometry on the king-move lattice graph over Z^n.
 
 The package computes the edge boundary two independent ways, by counting
-exiting neighbour steps (``edge_boundary_count``) and by summing occupied
-lines and gaps per direction (``edge_boundary_formula``).  It also computes
+each point's king steps that leave the set, as integer offsets added to
+integer point codes (``edge_boundary_count``), and by summing occupied
+lines and gaps per direction over the points' tuples
+(``edge_boundary_formula``).  It also computes
 vertex boundaries, compresses sets to canonical fixed points without
 increasing their boundary, and searches the compressed family exhaustively
 for minimal-boundary sets.

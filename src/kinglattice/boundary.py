@@ -1,14 +1,16 @@
 """Boundary quantities for finite sets in the king-move lattice graph.
 
 Two routes to the edge boundary are provided on purpose.
-``edge_boundary_count`` walks every point's neighbors and counts the steps
-that leave the set.  ``edge_boundary_formula`` counts, for every step
-direction, the occupied lines plus the gap starts along those lines.  A
-direction d and its reverse -d cut a set into the same lines with mirrored
-positions, so the formula groups each +-d pair once and stores the counts
-under both.  It groups points by line and counts gaps from sorted
-positions, never through ``neighbors``; the two totals agree on every
-finite set, and keeping both exposes that identity as a runtime check.
+``edge_boundary_count`` counts, per point, the 3^n - 1 steps that leave the
+set; points and steps are the integer codes of ``core._offset_codes``, so a
+step is an addition and a membership test.  ``edge_boundary_formula``
+counts, for every step direction, the occupied lines plus the gap starts
+along those lines.  A direction d and its reverse -d cut a set into the
+same lines with mirrored positions, so the formula groups each +-d pair
+once and stores the counts under both.  It groups the points' tuples by
+line and counts gaps from sorted positions, never through the step codes
+or ``neighbors``; the two totals agree on every finite set, and keeping
+both exposes that identity as a runtime check.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .core import (
     PointSet,
     _direction_pairs,
     _line_classes,
+    _offset_codes,
     _steps,
     line_sections,
     neighbors,
@@ -30,11 +33,16 @@ from .core import (
 def edge_boundary_count(ps: PointSet) -> int:
     """Number of edges with exactly one endpoint in ps.
 
-    Walks every point's neighbors, so each edge is counted once, from its
-    in-set endpoint.
+    Counts every point's steps that leave ps, so each edge is counted once,
+    from its in-set endpoint: k(3^n - 1) less the steps that land in ps.  A
+    point's steps are its code plus each step offset, tested against the
+    codes of ps in one C-level pass per point.
     """
-    pts = ps.points
-    return sum(q not in pts for p in pts for q in neighbors(p))
+    codes, offsets = _offset_codes(ps)
+    inside = codes.__contains__
+    return len(codes) * len(offsets) - sum(
+        sum(map(inside, map(c.__add__, offsets))) for c in codes
+    )
 
 
 def exterior_vertices(ps: PointSet) -> frozenset[Point]:
@@ -44,8 +52,16 @@ def exterior_vertices(ps: PointSet) -> frozenset[Point]:
 
 
 def exterior_vertex_boundary(ps: PointSet) -> int:
-    """Number of points outside ps adjacent to at least one point of ps."""
-    return len(exterior_vertices(ps))
+    """Number of points outside ps adjacent to at least one point of ps.
+
+    Counts the codes that ps's steps reach and ps does not hold, as
+    ``edge_boundary_count`` steps; ``exterior_vertices`` lists the points.
+    """
+    codes, offsets = _offset_codes(ps)
+    reached: set[int] = set()
+    for c in codes:
+        reached.update(map(c.__add__, offsets))
+    return len(reached - codes)
 
 
 def closed_vertex_boundary(ps: PointSet) -> int:

@@ -201,8 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="minimal edge boundary for a dimension and size",
         description="Proved minimal edge boundary over all size-K sets in Z^N. "
         "Every witness is checked in all 3^N - 1 directions, so the time per "
-        "witness point grows as 3^N: --dim 12 --size 1 takes about 3.5 s "
-        "(CPython 3.11 on a Xeon).",
+        "witness point grows as 3^N: --dim 12 --size 1 takes about 7 s "
+        "(CPython 3.11 on a shared 2-CPU Xeon).",
     )
     p.add_argument("--dim", type=int, required=True, metavar="N")
     p.add_argument("--size", type=int, required=True, metavar="K")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator
 
 Point = tuple[int, ...]
@@ -63,6 +63,32 @@ def chebyshev_distance(u: Point, v: Point) -> int:
 def neighbors(p: Point) -> list[Point]:
     """The 3^n - 1 points at Chebyshev distance exactly 1 from p."""
     return [tuple(map(add, p, d)) for d in _steps(len(p))]
+
+
+def _offset_codes(ps: PointSet) -> tuple[set[int], tuple[int, ...]]:
+    """ps's points as ints, and the 3^n - 1 steps as int offsets.
+
+    A point's code is its mixed-radix index in ps's bounding box padded by
+    1 on every side, plus a constant fixed by the box: the sum of its
+    coordinates times the strides, the last axis's stride being 1.  The
+    code is one-to-one on the padded box, which holds every neighbour of a
+    point of ps, so for p in ps, p + d is in ps exactly when code(p) +
+    offset(d) is a code of ps.  Offsets come in ``_steps(n)`` order.  The
+    dimension is checked before any offset is built.
+    """
+    _check_dimension(ps.dim)
+    if not ps.points:
+        return set(), ()
+    strides = [1]
+    for j in range(ps.dim - 1, 0, -1):
+        axis = [p[j] for p in ps.points]
+        strides.append(strides[-1] * (max(axis) - min(axis) + 3))
+    strides.reverse()
+    offsets = [0]
+    for s in strides:  # the first axis varies slowest, as in _steps
+        offsets = [o + t for o in offsets for t in (-s, 0, s)]
+    del offsets[len(offsets) // 2]  # the zero step
+    return {sum(map(mul, p, strides)) for p in ps.points}, tuple(offsets)
 
 
 def insert_coordinate(rest: tuple[int, ...], value: int, axis: int) -> Point:

@@ -1,9 +1,11 @@
 import itertools
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kinglattice.boundary
+from kinglattice.core import _offset_codes, _steps
 from kinglattice import (
     PointSet,
     closed_vertex_boundary,
@@ -84,6 +86,57 @@ def test_direct_matches_neighbor_count_oracle_on_random_sets():
         ps = random_point_set(dim, 1 + i % 10, side, seed=i)
         assert edge_boundary_count(ps) == nb_edge_boundary(ps.points)
         assert exterior_vertex_boundary(ps) == nb_vertex_boundary(ps.points)
+
+
+def assert_steps_match_oracles(ps):
+    assert edge_boundary_count(ps) == nb_edge_boundary(ps.points)
+    assert exterior_vertex_boundary(ps) == nb_vertex_boundary(ps.points)
+
+
+def test_step_codes_on_empty_sets_and_a_twelve_dimensional_point():
+    for n in range(1, 5):
+        assert_steps_match_oracles(PointSet(n))
+    ps = PointSet.of([(0,) * 12])
+    assert edge_boundary_count(ps) == exterior_vertex_boundary(ps) == 3**12 - 1
+    assert_steps_match_oracles(ps)
+
+
+def test_step_codes_on_points_far_apart_with_negative_coordinates():
+    far = 10**18
+    assert_steps_match_oracles(PointSet.of(
+        [(-far, 0), (1 - far, 1), (0, -far), (-far, -far), (0, 0), (far, far - 1)]
+    ))
+    assert_steps_match_oracles(PointSet.of(
+        [(-far, 5, -far), (1 - far, 4, -far), (0, 0, 0), (-1, 1, -1),
+         (far, -1, 2), (-3, -far, far)]
+    ))
+
+
+def test_step_codes_on_a_thin_box_with_holes():
+    # the 1 x 10^6 box, both ways round, keeping runs of 0 to 4 cells
+    length = 10**6
+    kept = {0, length - 1} | {y + i for y in range(0, length, 997) for i in range(y % 5)}
+    assert_steps_match_oracles(PointSet.of((0, y) for y in kept))
+    assert_steps_match_oracles(PointSet.of((y, 0) for y in kept))
+
+
+def test_offset_codes_are_linear_and_in_step_order():
+    ps = PointSet.of([(-5, 2, 7), (3, -1, 0), (0, 0, 0), (3, 9, -4)])
+    codes, offsets = _offset_codes(ps)
+    steps = _steps(3)
+    unit = [offsets[steps.index(e)] for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    # strides of the box padded by 1: axis 3 spans -4..7, axis 2 spans -1..9
+    assert unit == [14 * 13, 14, 1]
+    assert offsets == tuple(sum(map(mul, d, unit)) for d in steps)
+    assert codes == {sum(map(mul, p, unit)) for p in ps.points}
+    assert len(codes) == len(ps)
+
+
+def test_step_codes_refuse_dimensions_above_twelve():
+    for ps in (PointSet(13), PointSet.of([(0,) * 13])):
+        for count in (edge_boundary_count, exterior_vertex_boundary):
+            with pytest.raises(ValueError, match=r"dimension must be in 1\.\.12, got 13"):
+                count(ps)
 
 
 @settings(max_examples=60)

@@ -22,11 +22,14 @@ from kinglattice import (
     serialize_report,
     survey_gap_free_optima,
 )
+import kinglattice.boundary
 import kinglattice.cli
 import kinglattice.compression
+import kinglattice.core
 from kinglattice.cli import main
 from kinglattice.search import DEFAULT_MAX_SETS, EnumerationOverflowError
 from conftest import box, subprocess_env
+from oracle_helpers import nb_edge_boundary
 
 
 def test_parse_plain_points():
@@ -669,6 +672,38 @@ def test_cli_boundary_reports_route_mismatch(tmp_path, capsys, monkeypatch, fmt)
         assert json.loads(out)["agree"] is False
     else:
         assert "agreement     MISMATCH" in out
+
+
+def test_routes_stay_independent(tmp_path, capsys, monkeypatch):
+    # the formula never steps through the count route's offset codes ...
+    real = kinglattice.core._offset_codes
+
+    def refuse(ps):
+        raise AssertionError("the formula route used the offset codes")
+
+    monkeypatch.setattr(kinglattice.core, "_offset_codes", refuse)
+    monkeypatch.setattr(kinglattice.boundary, "_offset_codes", refuse)
+    for ps in (
+        box(4, 3),
+        PointSet.of([(0,), (2,), (5,), (6,)]),
+        PointSet.of([(-(10**18), 0, 1), (0, 0, 0), (1, 1, 1)]),
+        random_point_set(3, 9, 4, seed=7),
+    ):
+        assert edge_boundary_formula(ps).total == nb_edge_boundary(ps.points)
+
+    # ... so a count broken there is caught by the formula: dropping the
+    # last step, (+1,+1), loses the 6 exits the 4x3 box has along it
+    def drop_last_step(ps):
+        codes, offsets = real(ps)
+        return codes, offsets[:-1]
+
+    monkeypatch.setattr(kinglattice.boundary, "_offset_codes", drop_last_step)
+    f = tmp_path / "b.pts"
+    f.write_text(serialize_point_set(box(4, 3)))
+    code, out, err = run_cli(capsys, "boundary", "--input", str(f), "--format", "json")
+    assert code == 2
+    assert err == "invariant violation: direct 32 != formula 38\n"
+    assert json.loads(out)["agree"] is False
 
 
 def test_cli_selftest_reports_route_mismatch(capsys, monkeypatch):

@@ -403,13 +403,29 @@ def test_animal_enumerator_counts(censuses):
         assert [entry[0] for entry in censuses[n].values()] == counts
 
 
-def test_min_matches_unrestricted_brute_force(censuses):
+def assert_census_minima(n, census):
     # the minimum over every k-set, compressed or not, and every minimizer
     # of it gap-free along all 3^n - 1 directions
+    for k, (_, least, minimizers) in census.items():
+        assert min_edge_boundary(n, k).min_edge_boundary == least, (n, k)
+        assert all(gap_free(w) for w in minimizers), (n, k)
+
+
+def test_min_matches_unrestricted_brute_force(censuses):
     for n, census in censuses.items():
-        for k, (_, least, minimizers) in census.items():
-            assert min_edge_boundary(n, k).min_edge_boundary == least, (n, k)
-            assert all(gap_free(w) for w in minimizers), (n, k)
+        assert_census_minima(n, census)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "n,k_max,larger_counts",
+    [(2, 9, [940982]), (3, 6, [114219, 2753781])],  # about 20 s and 30 s
+    ids=["2-9", "3-6"],
+)
+def test_min_matches_unrestricted_census_at_larger_sizes(n, k_max, larger_counts):
+    census = unrestricted_census(n, k_max)
+    assert [entry[0] for entry in census.values()] == ANIMAL_COUNTS[n] + larger_counts
+    assert_census_minima(n, census)
 
 
 def test_search_report_witnesses_verify():

@@ -18,6 +18,7 @@ Point = tuple[int, ...]
 Direction = tuple[int, ...]
 
 MAX_DIMENSION = 12
+_STEP_ENTRIES = frozenset((-1, 0, 1))
 
 
 def _check_dimension(n: int) -> None:
@@ -26,9 +27,19 @@ def _check_dimension(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
+def _closed_steps(m: int) -> tuple[Direction, ...]:
+    """All of {-1,0,1}^m, zero step included, in lexicographic order; m >= 0.
+
+    The one table of king steps: p plus each entry is p's closed king
+    neighbourhood N[p], and ``_steps`` is this table without the zero step.
+    """
+    return tuple(itertools.product((-1, 0, 1), repeat=m))
+
+
+@lru_cache(maxsize=None)
 def _steps(n: int) -> tuple[Direction, ...]:
     _check_dimension(n)
-    return tuple(d for d in itertools.product((-1, 0, 1), repeat=n) if any(d))
+    return tuple(d for d in _closed_steps(n) if any(d))
 
 
 def directions(n: int) -> list[Direction]:
@@ -43,14 +54,14 @@ def _direction_pairs(n: int) -> tuple[tuple[Direction, Direction, int], ...]:
     """Each direction d whose first nonzero entry is +1, with -d and that axis.
 
     d and -d slice a set into the same lines, so callers that only count
-    lines and gaps visit each of these (3^n - 1) / 2 pairs once.
+    lines and gaps visit each of these (3^n - 1) / 2 pairs once.  Negation
+    reverses the lexicographic order of ``_steps(n)``, so its second half
+    holds these d in order and each -d sits at the mirror place.
     """
-    pairs = []
-    for d in directions(n):
-        j = _first_axis(d)
-        if d[j] == 1:
-            pairs.append((d, tuple(-s for s in d), j))
-    return tuple(pairs)
+    steps = _steps(n)
+    half = len(steps) // 2
+    mirrored = zip(steps[half:], reversed(steps[:half]))
+    return tuple((d, r, d.index(1)) for d, r in mirrored)
 
 
 def chebyshev_distance(u: Point, v: Point) -> int:
@@ -196,13 +207,28 @@ class LineSection:
         )
 
 
-def _first_axis(d: Direction) -> int:
-    return next(i for i, s in enumerate(d) if s)
+def _line_axis(d: Direction, dim: int) -> int:
+    """The first nonzero axis of d, once d is checked to be a step in Z^dim.
+
+    Raises ValueError if d does not have dim entries, is zero, or has an
+    entry outside {-1, 0, 1}.
+    """
+    if len(d) != dim:
+        raise ValueError(f"direction {d} does not have dimension {dim}")
+    if not _STEP_ENTRIES.issuperset(d):
+        raise ValueError(f"direction entries must be in -1..1, got {d}")
+    for j, s in enumerate(d):
+        if s:
+            return j
+    raise ValueError("direction must be nonzero")
 
 
 def line_base(p: Point, d: Direction) -> tuple[Point, int]:
-    """Canonical representative of p's line in direction d, and p's position on it."""
-    j = _first_axis(d)
+    """Canonical representative of p's line in direction d, and p's position on it.
+
+    d must be a nonzero step in {-1,0,1}^len(p); anything else raises ValueError.
+    """
+    j = _line_axis(d, len(p))
     t = p[j] * d[j]  # d[j] is +-1, so this zeroes coordinate j of the base
     base = tuple(a - t * s for a, s in zip(p, d))
     return base, t
@@ -227,13 +253,10 @@ def line_sections(ps: PointSet, d: Direction) -> list[LineSection]:
     """Partition ps into its line classes along d.
 
     Two points share a class iff they differ by an integer multiple of d.
-    Sections come back sorted by base, positions sorted within each.
+    Sections come back sorted by base, positions sorted within each.  d must
+    be a nonzero step in {-1,0,1}^n; anything else raises ValueError.
     """
-    if len(d) != ps.dim:
-        raise ValueError(f"direction {d} does not have dimension {ps.dim}")
-    if not any(d):
-        raise ValueError("direction must be nonzero")
-    classes = _line_classes(ps.points, d, _first_axis(d))
+    classes = _line_classes(ps.points, d, _line_axis(d, ps.dim))
     return [
         LineSection(base, d, tuple(sorted(ts)))
         for base, ts in sorted(classes.items())

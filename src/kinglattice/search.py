@@ -18,11 +18,11 @@ import random
 import sys
 from dataclasses import dataclass
 from bisect import bisect_left
-from itertools import compress, product, repeat
+from itertools import compress, repeat
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import Point, PointSet, _check_dimension
+from .core import Point, PointSet, _check_dimension, _closed_steps
 from .boundary import (
     BoundaryBreakdown,
     edge_boundary_count,
@@ -52,16 +52,12 @@ def fully_gap_free(ps: PointSet) -> bool:
     return _gap_free(edge_boundary_formula(ps))
 
 
-def _check_family(n: int, k: int) -> None:
+def _check_request(n: int, k: int, max_sets: int) -> None:
     _check_dimension(n)
     if n >= 2 and k > MAX_SIZE:
         raise EnumerationOverflowError(
             f"more than 2^63 - 1 compressed sets for n={n}, k={k}"
         )
-
-
-def _check_request(n: int, k: int, max_sets: int) -> None:
-    _check_family(n, k)
     if k < 1:
         raise ValueError(f"size must be >= 1, got {k}")
     if max_sets < 1:
@@ -127,7 +123,8 @@ class _LayerChain:
     With a virtual L0 = L1 every step has the same form: after layers A and
     B, with r points left, the next layer C ⊆ B scores E(C) + cross(A, C).
     E and cross grow along the removals: E(L) = E(L - {p}) + |N(p) ∩ L| and
-    cross(A, C) = cross(A, C - {p}) + |N[p] ∩ A|.
+    cross(A, C) = cross(A, C - {p}) + |N[p] ∩ A|, so N[p] is built only for
+    the points p that layers gain.
     """
 
     def __init__(self, n: int, cap: int) -> None:
@@ -141,6 +138,7 @@ class _LayerChain:
         # each layer of the largest size built, with the points minimal outside it
         self._fringe = {-1: (frozenset(), [(0,) * (n - 1)])}
         self._nears: dict[Point, tuple[tuple[Point, ...], ...]] = {}
+        self._closed: dict[Point, tuple[Point, ...]] = {}  # N[p] for p gained
         self._sub: dict[int, tuple[int, ...]] = {}  # for the DP only
         self._cross: dict[tuple[int, int], int] = {}
         self._count: dict[tuple[int, int], int] = {}
@@ -162,7 +160,11 @@ class _LayerChain:
         fringe = {}
         for layer, removals in grown.items():
             rest, p = removals[0]
-            ups, _, around = self._near(p)
+            ups = self._near(p)[0]
+            around = self._closed.get(p)
+            if around is None:
+                table = _closed_steps(len(p))
+                around = self._closed[p] = tuple(tuple(map(add, p, d)) for d in table)
             # p's up-steps are the only points that adding p can make minimal
             corners = [q for q in self._fringe[rest][1] if q != p]
             corners += [u for u in ups if layer.issuperset(self._near(u)[1])]
@@ -190,16 +192,14 @@ class _LayerChain:
         return frozenset(pts)
 
     def _near(self, q: Point) -> tuple[tuple[Point, ...], ...]:
-        """q one place up the order 0 < 1 < -1 < 2 < ... on each axis, one
-        place down on each axis where q is not 0, and N[q]."""
+        """q one place up the order 0 < 1 < -1 < 2 < ... on each axis, and
+        one place down on each axis where q is not 0."""
         near = self._nears.get(q)
         if near is None:
             cut = [(q[:i], x, q[i + 1 :]) for i, x in enumerate(q)]
-            closed = product((-1, 0, 1), repeat=len(q))
             near = self._nears[q] = (
                 tuple(a + (-x if x > 0 else 1 - x,) + b for a, x, b in cut),
                 tuple(a + (1 - x if x > 0 else -x,) + b for a, x, b in cut if x),
-                tuple(tuple(map(add, q, d)) for d in closed),
             )
         return near
 
@@ -225,7 +225,7 @@ class _LayerChain:
             c = rest
         total = memo[a, c] if c >= 0 else 0
         for c, p in reversed(path):
-            total += sum(map(self.points[a].__contains__, self._near(p)[2]))
+            total += sum(map(self.points[a].__contains__, self._closed[p]))
             memo[a, c] = total
         return total
 
@@ -489,7 +489,5 @@ def survey_gap_free_optima(
     Each report records whether some, and whether every, minimizing witness
     is gap-free in all directions, not just along the axes.
     """
-    if k_max < 1:
-        raise ValueError(f"size must be >= 1, got {k_max}")
-    _check_family(n, k_max)
+    _check_request(n, k_max, max_sets)
     return [min_edge_boundary(n, k, max_sets=max_sets) for k in range(1, k_max + 1)]

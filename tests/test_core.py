@@ -8,12 +8,14 @@ from kinglattice import (
     chebyshev_distance,
     delete_coordinate,
     directions,
+    gap_set,
     insert_coordinate,
     line_base,
     line_sections,
     neighbors,
+    projection_count,
 )
-from kinglattice.core import MAX_DIMENSION
+from kinglattice.core import MAX_DIMENSION, _direction_pairs
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.tuples(coords, coords, coords)
@@ -185,11 +187,33 @@ def test_line_sections_diagonal_grouping():
 
 
 def test_line_sections_rejects_bad_directions():
-    ps = PointSet.of([(0, 0)])
-    with pytest.raises(ValueError):
-        line_sections(ps, (0, 0))
-    with pytest.raises(ValueError):
-        line_sections(ps, (1,))
+    # line_base shares line_sections' check, and gap_set and projection_count
+    # go through line_sections.  The points differ by (2, 0), a multiple of
+    # (1, 0), so a step of (2, 0) would wrongly put them on two lines.
+    ps = PointSet.of([(0, 0), (2, 0)])
+    for d, message in (
+        ((0, 0), "direction must be nonzero"),
+        ((1,), r"direction \(1,\) does not have dimension 2"),
+        ((1, 0, 0), r"direction \(1, 0, 0\) does not have dimension 2"),
+        ((2, 0), r"entries must be in -1..1, got \(2, 0\)"),
+        ((0, -3), r"entries must be in -1..1, got \(0, -3\)"),
+    ):
+        for call in (line_base, line_sections, gap_set, projection_count):
+            with pytest.raises(ValueError, match=message):
+                call((1, 2) if call is line_base else ps, d)
+    with pytest.raises(ValueError, match="does not have dimension 3"):
+        line_base((1, 2, 3), (1, 0))
+
+
+def test_direction_pairs_match_their_definition():
+    # the definition, without the mirrored halves of the step table
+    for n in range(1, 10):
+        pairs = []
+        for d in directions(n):
+            j = next(i for i, s in enumerate(d) if s)
+            if d[j] == 1:
+                pairs.append((d, tuple(-s for s in d), j))
+        assert _direction_pairs(n) == tuple(pairs), n
 
 
 def test_runs_counts_maximal_blocks():

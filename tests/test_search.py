@@ -155,16 +155,38 @@ def test_caps_past_sys_maxsize_are_accepted(capsys):
 
 
 def test_count_validates_like_the_enumeration():
-    for args, error in (
-        ((0, 3), "dimension must be in 1..12"),
-        ((13, 1), "dimension must be in 1..12"),
-        ((2, 0), "size must be >= 1"),
-        ((2, 406), "more than 2\\^63 - 1 compressed sets"),
-    ):
-        with pytest.raises(ValueError, match=error):
-            count_compressed_sets(*args)
-    with pytest.raises(ValueError, match="max_sets must be >= 1"):
-        count_compressed_sets(2, 3, max_sets=0)
+    # the survey checks its largest size as one request, before any search
+    for entry in (count_compressed_sets, survey_gap_free_optima):
+        for args, error in (
+            ((0, 3), "dimension must be in 1..12"),
+            ((13, 1), "dimension must be in 1..12"),
+            ((2, 0), "size must be >= 1"),
+            ((2, 406), "more than 2\\^63 - 1 compressed sets"),
+        ):
+            with pytest.raises(ValueError, match=error):
+                entry(*args)
+        with pytest.raises(ValueError, match="max_sets must be >= 1"):
+            entry(2, 3, max_sets=0)
+
+
+def test_survey_refuses_a_bad_cap_before_any_search(monkeypatch):
+    def searched(*args, **kwargs):
+        raise AssertionError("searched with a refused cap")
+
+    monkeypatch.setattr(kinglattice.search, "min_edge_boundary", searched)
+    with pytest.raises(ValueError, match="max_sets must be >= 1, got 0"):
+        survey_gap_free_optima(2, 3, max_sets=0)
+
+
+def test_neighbourhoods_are_built_only_for_layer_points():
+    # E and cross read N[p] only for the points p that layers gain; the
+    # up-steps tested for minimality need no neighbourhood
+    chain = kinglattice.search._LayerChain(12, 10**6)
+    chain.family(1)
+    assert list(chain._closed) == [(0,) * 11]
+    chain = kinglattice.search._LayerChain(3, 10**6)
+    chain.optimal_sets(10)  # every layer of up to 10 points, the DP's cross too
+    assert chain._closed and set(chain._closed) <= set().union(*chain.points)
 
 
 def test_sub_layers_by_removal_equal_subset_tests():

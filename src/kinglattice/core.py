@@ -8,14 +8,16 @@ sliced into lines.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import add, mul
-from typing import Iterable, Iterator
+from functools import lru_cache, wraps
+from operator import add, countOf, mul
+from typing import Callable, Iterable, Iterator, TypeVar
 
 Point = tuple[int, ...]
 Direction = tuple[int, ...]
+_T = TypeVar("_T")
 
 MAX_DIMENSION = 12
 _STEP_ENTRIES = frozenset((-1, 0, 1))
@@ -26,7 +28,28 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {n}")
 
 
+def _collector_paused(build: Callable[[int], _T]) -> Callable[[int], _T]:
+    """``build`` run with the cyclic collector paused, and resumed only if it was on.
+
+    Step tables hold only tuples of ints, which make no cycles; at n = 12 the
+    collector's passes over their new tuples took most of the build time.
+    """
+
+    @wraps(build)
+    def paused(n: int) -> _T:
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            return build(n)
+        finally:
+            if was_on:
+                gc.enable()
+
+    return paused
+
+
 @lru_cache(maxsize=None)
+@_collector_paused
 def _closed_steps(m: int) -> tuple[Direction, ...]:
     """All of {-1,0,1}^m, zero step included, in lexicographic order; m >= 0.
 
@@ -37,6 +60,7 @@ def _closed_steps(m: int) -> tuple[Direction, ...]:
 
 
 @lru_cache(maxsize=None)
+@_collector_paused
 def _steps(n: int) -> tuple[Direction, ...]:
     _check_dimension(n)
     return tuple(d for d in _closed_steps(n) if any(d))
@@ -50,6 +74,7 @@ def directions(n: int) -> list[Direction]:
 
 
 @lru_cache(maxsize=None)
+@_collector_paused
 def _direction_pairs(n: int) -> tuple[tuple[Direction, Direction, int], ...]:
     """Each direction d whose first nonzero entry is +1, with -d and that axis.
 
@@ -135,9 +160,9 @@ class PointSet:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
-        for p in self.points:
-            if len(p) != self.dim:
-                raise ValueError(f"point {p} does not have dimension {self.dim}")
+        if countOf(map(len, self.points), self.dim) != len(self.points):
+            bad = next(p for p in self.points if len(p) != self.dim)
+            raise ValueError(f"point {bad} does not have dimension {self.dim}")
 
     @classmethod
     def of(cls, points: Iterable[Iterable[int]], dim: int | None = None) -> "PointSet":

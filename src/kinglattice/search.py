@@ -18,9 +18,9 @@ import random
 import sys
 from dataclasses import dataclass
 from bisect import bisect_left
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import add
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Point, PointSet, _check_dimension, _closed_steps
 from .boundary import (
@@ -105,7 +105,7 @@ class _LayerChain:
     """Tables for walks and a DP over nested chains of (n-1)-dimensional layers.
 
     A fixed point S in Z^n is a chain L1 ⊇ L2 ⊇ ... of layers, fixed points
-    in Z^(n-1), at heights 0, 1, -1, 2, -2, ... (see ``stack``).  A set has
+    in Z^(n-1), at heights 0, 1, -1, 2, -2, ... (see ``walk``).  A set has
     every axis section centered iff it is a down-set of the product of
     n - 1 copies of the order 0 < 1 < -1 < 2 < -2 < ..., so the size-s
     layers are the size-(s-1) layers L, each with one point p minimal
@@ -124,7 +124,8 @@ class _LayerChain:
     B, with r points left, the next layer C ⊆ B scores E(C) + cross(A, C).
     E and cross grow along the removals: E(L) = E(L - {p}) + |N(p) ∩ L| and
     cross(A, C) = cross(A, C - {p}) + |N[p] ∩ A|, so N[p] is built only for
-    the points p that layers gain.
+    the points p that layers gain.  ``walk`` is the one place that stacks a
+    chain into its set in Z^n.
     """
 
     def __init__(self, n: int, cap: int) -> None:
@@ -178,19 +179,6 @@ class _LayerChain:
         self._fringe = fringe
         self._starts.append(len(self.points))
 
-    def stack(self, chain: Iterable[int]) -> frozenset[Point]:
-        """The set in Z^n whose layers along the last axis are ``chain``.
-
-        Depth m = 1, 2, 3, ... sits at height 0, 1, -1, 2, -2, ...; a section
-        through the stack meets exactly the layers holding its column, so
-        sections along the last axis are centered runs iff the layers nest.
-        """
-        pts: set[Point] = set()
-        for depth, c in enumerate(chain, start=1):
-            y = depth // 2 if depth % 2 == 0 else -(depth // 2)
-            pts.update(map(add, self.points[c], repeat((y,))))
-        return frozenset(pts)
-
     def _near(self, q: Point) -> tuple[tuple[Point, ...], ...]:
         """q one place up the order 0 < 1 < -1 < 2 < ... on each axis, and
         one place down on each axis where q is not 0."""
@@ -211,10 +199,6 @@ class _LayerChain:
             subs |= level
         return tuple(sorted(subs))
 
-    def _within(self, subs: Sequence[int], r: int) -> Sequence[int]:
-        """The layers of ``subs``, in ascending id order, with at most r points."""
-        return subs[: bisect_left(subs, self._starts[min(r, len(self._starts) - 1)])]
-
     def cross(self, a: int, c: int) -> int:
         """cross(A, C) for layer C inside layer A, walked down C's removals."""
         memo = self._cross
@@ -234,41 +218,50 @@ class _LayerChain:
         subs = self._sub.get(b)
         if subs is None:
             subs = self._sub[b] = self.sub_layers(b)
-        return [(c, r - self.size[c]) for c in self._within(subs, r)]
+        cut = bisect_left(subs, self._starts[min(r, self.size[b])])
+        return [(c, r - self.size[c]) for c in subs[:cut]]
 
     def walk(
         self, k: int, firsts: Iterable[int], keep: Callable[..., bool] | None = None
-    ) -> Iterator[list[int]]:
-        """Each chain of layers with k points in all, first layer from ``firsts``.
+    ) -> Iterator[frozenset[Point]]:
+        """Each set in Z^n stacked from a chain of layers with k points in
+        all, first layer from ``firsts``.
 
+        Depth m = 1, 2, 3, ... sits at height 0, 1, -1, 2, -2, ...; a section
+        through the stack meets exactly the layers holding its column, so
+        sections along the last axis are centered runs iff the layers nest.
         Depth first on an explicit stack; a lazy ``firsts`` builds no layer
         family before the walk reaches it.  The step from layers A and B, r
         points left, to C, t left, is taken iff ``keep(A, B, r, C, t)``, if
-        given.  Each chain is the walk's own list, changed when it resumes.
+        given.  A layer on the walk's path is lifted to its height once, when
+        the walk reaches it, and every set below it reuses those points.
         """
-        chain: list[int] = []
-        points = self.points
+        points, size, starts = self.points, self.size, self._starts
+        # rises[m] repeats the (y,) that lifts a layer at depth m + 1 to height y
+        rises = [repeat(((m + 1) // 2 if m % 2 else -(m // 2),)) for m in range(k)]
+        lifted: list[list[Point]] = []  # the layers on the path, lifted
         for first in firsts:
-            # (depth, layer, points left before it, the layers it was picked from)
-            todo = [(0, first, k, range(len(points)))]
+            # (depth, layer before it, layer, points left before it, its pool)
+            todo = [(0, first, first, k, range(len(points)))]
             while todo:
-                depth, b, r, pool = todo.pop()
-                r -= self.size[b]
-                del chain[depth:]
-                chain.append(b)
+                depth, a, b, r, pool = todo.pop()
+                r -= size[b]
+                del lifted[depth:]
+                lifted.append(list(map(add, points[b], rises[depth])))
                 if r == 0:
-                    yield chain
+                    yield frozenset(chain.from_iterable(lifted))
                     continue
                 # b's sub-layers with at most r points, all in the pool b came from
-                a = chain[depth - 1] if depth else b
-                subs = self._within(pool, r)
+                subs = pool[: bisect_left(pool, starts[min(r, size[b])])]
                 if a != b or not depth:
                     inside = map(points[b].issuperset, map(points.__getitem__, subs))
                     subs = list(compress(subs, inside))
                 nexts = subs
                 if keep is not None:
-                    nexts = [c for c in subs if keep(a, b, r, c, r - self.size[c])]
-                todo.extend(zip(repeat(depth + 1), nexts, repeat(r), repeat(subs)))
+                    nexts = [c for c in subs if keep(a, b, r, c, r - size[c])]
+                todo.extend(
+                    zip(repeat(depth + 1), repeat(b), nexts, repeat(r), repeat(subs))
+                )
 
     def count(self, b: int, r: int) -> int:
         """Chains that follow layer b with r more points, saturating at cap + 1.
@@ -307,7 +300,11 @@ class _LayerChain:
         return memo[root]
 
     def optimal_sets(self, k: int) -> tuple[int, list[frozenset[Point]]]:
-        """The largest E_int over the size-k family, and every set reaching it."""
+        """The largest E_int over the size-k family, and every set reaching it.
+
+        The sets are the ones ``walk`` stacks from the tops while it takes
+        only the steps that keep to the optimum.
+        """
         firsts = {  # ids ascend with size, so these are all layers of at most k
             a: self.edges[a] + self.best(a, a, k - self.size[a])
             for a in range(self.family(k).stop)
@@ -319,7 +316,7 @@ class _LayerChain:
             return gain == self.best(a, b, r)
 
         tops = [a for a, e in firsts.items() if e == most]
-        return most, [self.stack(chain) for chain in self.walk(k, tops, on_best)]
+        return most, list(self.walk(k, tops, on_best))
 
 
 def _counted_chains(n: int, k: int, max_sets: int) -> tuple[_LayerChain, int]:
@@ -353,7 +350,9 @@ def enumerate_compressed_sets(
     Sets are built one at a time by walking layer chains, first layers
     smallest first, so ``max_sets`` bounds the work, layer families
     included; exceeding it raises EnumerationOverflowError rather than
-    truncating, as does any k above MAX_SIZE for n >= 2, at any cap.  The
+    truncating, as does any k above MAX_SIZE for n >= 2, at any cap.  Each
+    set is stacked from the lifted layers on the walk's path, so beyond the
+    layer tables the walk holds O(k) points however long its chains.  The
     order is deterministic but not promised: it may change between versions.
     No two sets are translates of each other, and all coordinates stay
     within ceil(k/2) + 1 of the origin.
@@ -362,10 +361,10 @@ def enumerate_compressed_sets(
     chains = _LayerChain(n, max_sets)
     firsts = (a for s in range(1, k + 1) for a in chains.family(s))
     try:
-        for count, chain in enumerate(chains.walk(k, firsts), start=1):
+        for count, pts in enumerate(chains.walk(k, firsts), start=1):
             if count > max_sets:
                 raise EnumerationOverflowError
-            yield PointSet(n, chains.stack(chain))
+            yield PointSet(n, pts)
     except EnumerationOverflowError:
         raise _overflow(n, k, max_sets) from None
 

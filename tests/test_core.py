@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -15,7 +16,7 @@ from kinglattice import (
     neighbors,
     projection_count,
 )
-from kinglattice.core import MAX_DIMENSION, _direction_pairs
+from kinglattice.core import MAX_DIMENSION, _closed_steps, _direction_pairs, _steps
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.tuples(coords, coords, coords)
@@ -99,6 +100,46 @@ def test_pointset_validates_dimension():
         PointSet(0, frozenset())
     with pytest.raises(ValueError):
         PointSet(2, frozenset({(1, 2, 3)}))
+
+
+@pytest.mark.parametrize(
+    "points, bad",
+    [
+        ({(x, y) for x in range(40) for y in range(25)} | {(1, 2, 3)}, (1, 2, 3)),
+        ({(5,)}, (5,)),
+    ],
+    ids=["a-3-tuple-among-1000", "a-lone-1-tuple"],
+)
+def test_pointset_names_a_bad_point_among_many(points, bad):
+    with pytest.raises(ValueError) as info:
+        PointSet(2, frozenset(points))
+    assert str(info.value) == f"point {bad} does not have dimension 2"
+
+
+@pytest.mark.parametrize("was_on", [True, False])
+def test_step_tables_pause_the_collector_and_restore_it(was_on):
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    if not was_on:
+        gc.disable()
+    gc.callbacks.append(count)
+    try:
+        # uncached builds; 3^9 new tuples are dozens of collections unpaused
+        for table in (_closed_steps, _steps, _direction_pairs):
+            table.__wrapped__(9)
+            assert gc.isenabled() is was_on
+        with pytest.raises(ValueError):
+            _steps.__wrapped__(MAX_DIMENSION + 1)
+        assert gc.isenabled() is was_on
+    finally:
+        gc.callbacks.remove(count)
+        gc.enable()
+    # back on, the collector may run once for the allocations it skipped
+    assert len(collections) <= (3 if was_on else 0)
 
 
 def test_pointset_of_infers_dimension():

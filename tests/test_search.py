@@ -67,6 +67,19 @@ def test_enumerate_one_dimension_is_single_segment():
         assert sets[0].points == frozenset({(x,) for x in canonical_segment(k)})
 
 
+def test_long_chains_stay_linear_in_memory():
+    # the segment of Z^1 is a chain of 3000 one-point layers; stacking it from
+    # a frozenset per prefix would hold about 4.5 million points
+    tracemalloc.start()
+    try:
+        (segment,) = enumerate_compressed_sets(1, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert segment.points == frozenset({(x,) for x in canonical_segment(3000)})
+    assert peak < 3_000_000
+
+
 def test_enumerate_single_point():
     (only,) = enumerate_compressed_sets(2, 1)
     assert only.points == frozenset({(0, 0)})

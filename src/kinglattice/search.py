@@ -18,9 +18,9 @@ import random
 import sys
 from dataclasses import dataclass
 from bisect import bisect_left
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import add
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import Point, PointSet, _check_dimension, _closed_steps
 from .boundary import (
@@ -70,37 +70,6 @@ def _overflow(n: int, k: int, max_sets: int) -> EnumerationOverflowError:
     )
 
 
-def _post_order(
-    memo: dict[_State, int], root: _State, children: Callable[[_State], list[_State]]
-) -> Iterator[tuple[_State, list[_State]]]:
-    """Yield ``root`` and the states it needs that ``memo`` lacks, children first.
-
-    A state's last entry is its points left; states with none left are
-    leaves, with no children.  Each state comes with its children, all in
-    ``memo`` by then except the leaves, which the caller values itself; the
-    caller stores the state's value in ``memo`` before asking for the next.
-    An explicit stack replaces recursion, so a chain of any length, such as
-    the k one-point layers of a segment in Z^1, uses no Python frames.
-    Children have fewer points left than their parent, so there are no
-    cycles.
-    """
-    todo: list[tuple[_State, list[_State] | None]] = [(root, None)]
-    while todo:
-        state, kids = todo[-1]
-        if state in memo:  # pushed again before it was settled
-            todo.pop()
-            continue
-        if kids is None:
-            kids = children(state) if state[-1] else []
-            missing = [(kid, None) for kid in kids if kid[-1] and kid not in memo]
-            if missing:
-                todo[-1] = (state, kids)
-                todo.extend(missing)
-                continue
-        todo.pop()
-        yield state, kids
-
-
 class _LayerChain:
     """Tables for walks and a DP over nested chains of (n-1)-dimensional layers.
 
@@ -109,12 +78,15 @@ class _LayerChain:
     every axis section centered iff it is a down-set of the product of
     n - 1 copies of the order 0 < 1 < -1 < 2 < -2 < ..., so the size-s
     layers are the size-(s-1) layers L, each with one point p minimal
-    outside it added.  L + p keeps every such (L, p): these are all its
-    one-point removals that are layers, as L - {p} is a down-set iff p is
-    maximal in L.  Ids ascend with size, in a fixed order within a size.
-    A layer's sub-layers are it and its removals' sub-layers: for down-sets
-    C ⊊ L, a p maximal in L - C is maximal in L, as C is a down-set, so
-    L - {p} is a layer that contains C; induct on |L - C|.
+    outside it added.  Ids ascend with size, in a fixed order within a size.
+
+    The walk and both DPs step from a layer B, r points left after it, to
+    each layer C ⊆ B with |C| <= r, and ``steps`` finds those C in a pool:
+    the steps of the state that reached B, or every layer for a first one.
+    A state (A, B, r) reached from (X, A, r') has B ⊆ A and r = r' - |B| <
+    r', so every layer inside B with at most r points is among A's steps.
+    So a state's steps do not depend on which parent reached it first, and
+    the DP memo keys hold no pool.
 
     Layers at adjacent heights are (L1, L2), (L1, L3) and (L_m, L_(m+2)) for
     m >= 2, so S's inside edges E_int(S) are the sum of E(L_m), the edges
@@ -134,13 +106,11 @@ class _LayerChain:
         self.size: list[int] = []
         self.edges: list[int] = []
         self.removal: list[tuple[int, Point]] = []  # one (id of L - {p}, p); -1 is {}
-        self.below: list[tuple[int, ...]] = []  # ids of every nonempty L - {p}
         self._starts = [0]  # ids of size s are range(_starts[s - 1], _starts[s])
         # each layer of the largest size built, with the points minimal outside it
         self._fringe = {-1: (frozenset(), [(0,) * (n - 1)])}
         self._nears: dict[Point, tuple[tuple[Point, ...], ...]] = {}
         self._closed: dict[Point, tuple[Point, ...]] = {}  # N[p] for p gained
-        self._sub: dict[int, tuple[int, ...]] = {}  # for the DP only
         self._cross: dict[tuple[int, int], int] = {}
         self._count: dict[tuple[int, int], int] = {}
         self._best: dict[tuple[int, int, int], int] = {}
@@ -152,15 +122,14 @@ class _LayerChain:
         return range(self._starts[s - 1], self._starts[s])
 
     def _add_size(self, s: int) -> None:
-        grown: dict[frozenset[Point], list[tuple[int, Point]]] = {}
+        grown: dict[frozenset[Point], tuple[int, Point]] = {}  # the first removal
         for rest, (layer, corners) in self._fringe.items():
             for p in corners:
-                grown.setdefault(layer | {p}, []).append((rest, p))
+                grown.setdefault(layer | {p}, (rest, p))
                 if len(grown) > self.cap:
                     raise EnumerationOverflowError
         fringe = {}
-        for layer, removals in grown.items():
-            rest, p = removals[0]
+        for layer, (rest, p) in grown.items():
             ups = self._near(p)[0]
             around = self._closed.get(p)
             if around is None:
@@ -175,7 +144,6 @@ class _LayerChain:
             self.size.append(s)
             self.edges.append(below + sum(map(layer.__contains__, around)) - 1)
             self.removal.append((rest, p))
-            self.below.append(tuple(rest for rest, _ in removals if rest >= 0))
         self._fringe = fringe
         self._starts.append(len(self.points))
 
@@ -191,14 +159,6 @@ class _LayerChain:
             )
         return near
 
-    def sub_layers(self, b: int) -> tuple[int, ...]:
-        """Every layer inside layer b, b included, in ascending id order."""
-        subs, level = {b}, (b,)
-        while level:  # each path down from b to C takes |b| - |C| removals
-            level = set().union(*map(self.below.__getitem__, level))
-            subs |= level
-        return tuple(sorted(subs))
-
     def cross(self, a: int, c: int) -> int:
         """cross(A, C) for layer C inside layer A, walked down C's removals."""
         memo = self._cross
@@ -213,13 +173,50 @@ class _LayerChain:
             memo[a, c] = total
         return total
 
-    def steps(self, b: int, r: int) -> list[tuple[int, int]]:
-        """(C, r - |C|) for each layer C inside layer b with |C| <= r."""
-        subs = self._sub.get(b)
-        if subs is None:
-            subs = self._sub[b] = self.sub_layers(b)
-        cut = bisect_left(subs, self._starts[min(r, self.size[b])])
-        return [(c, r - self.size[c]) for c in subs[:cut]]
+    def steps(self, b: int, r: int, pool: Sequence[int]) -> list[int]:
+        """Each layer C ⊆ B with |C| <= r, ascending, from a sorted ``pool``
+        that holds them all."""
+        points, inside = self.points, self.points[b].issuperset
+        cut = bisect_left(pool, self._starts[min(r, self.size[b])])
+        return [c for c in pool[:cut] if inside(points[c])]
+
+    def _post_order(
+        self,
+        memo: dict[_State, int],
+        root: _State,
+        kids: Callable[[_State, Sequence[int]], list[_State]],
+    ) -> Iterator[tuple[_State, list[_State]]]:
+        """Yield ``root`` and the states it needs that ``memo`` lacks, children first.
+
+        A state ends in a layer B and its points left r; states with none
+        left are leaves.  Its children are ``kids(state, steps)``, the steps
+        drawn from the pool on its stack entry: every layer for the root,
+        the parent's steps for the rest.  Each state comes with its children,
+        all in ``memo`` by then except the leaves, which the caller values
+        itself; the caller stores the state's value in ``memo`` before asking
+        for the next.  An explicit stack replaces recursion, so a chain of
+        any length, such as the k one-point layers of a segment in Z^1, uses
+        no Python frames.  Children have fewer points left, so no cycles.
+        """
+        todo = [(root, range(len(self.points)), None)]
+        while todo:
+            state, pool, children = todo[-1]
+            if state in memo:  # pushed again before it was settled
+                todo.pop()
+                continue
+            if children is None:
+                r = state[-1]
+                subs = self.steps(state[-2], r, pool) if r else []
+                children = kids(state, subs)
+                missing = [
+                    (kid, subs, None) for kid in children if kid[-1] and kid not in memo
+                ]
+                if missing:
+                    todo[-1] = (state, pool, children)
+                    todo.extend(missing)
+                    continue
+            todo.pop()
+            yield state, children
 
     def walk(
         self, k: int, firsts: Iterable[int], keep: Callable[..., bool] | None = None
@@ -251,11 +248,10 @@ class _LayerChain:
                 if r == 0:
                     yield frozenset(chain.from_iterable(lifted))
                     continue
-                # b's sub-layers with at most r points, all in the pool b came from
-                subs = pool[: bisect_left(pool, starts[min(r, size[b])])]
                 if a != b or not depth:
-                    inside = map(points[b].issuperset, map(points.__getitem__, subs))
-                    subs = list(compress(subs, inside))
+                    subs = self.steps(b, r, pool)
+                else:  # the pool is a's steps, all inside b = a
+                    subs = pool[: bisect_left(pool, starts[min(r, size[b])])]
                 nexts = subs
                 if keep is not None:
                     nexts = [c for c in subs if keep(a, b, r, c, r - size[c])]
@@ -268,9 +264,11 @@ class _LayerChain:
 
         g(B, r) = [r = 0] + sum of g(C, r - |C|) over the steps from B.
         """
-        memo = self._count
+        memo, size = self._count, self.size
         root = (b, r)
-        for state, steps in _post_order(memo, root, lambda s: self.steps(*s)):
+        for state, steps in self._post_order(
+            memo, root, lambda s, subs: [(c, s[1] - size[c]) for c in subs]
+        ):
             ways = (state[1] == 0) + sum(memo[c, t] if t else 1 for c, t in steps)
             memo[state] = min(ways, self.cap + 1)
         return memo[root]
@@ -287,10 +285,10 @@ class _LayerChain:
 
     def best(self, a: int, b: int, r: int) -> int:
         """f(A, B, r): the most edges r more points add after layers A and B."""
-        memo = self._best
+        memo, size = self._best, self.size
         root = (a, b, r)
-        for state, nexts in _post_order(
-            memo, root, lambda s: [(s[1], c, t) for c, t in self.steps(*s[1:])]
+        for state, nexts in self._post_order(
+            memo, root, lambda s, subs: [(s[1], c, s[2] - size[c]) for c in subs]
         ):
             gains = (
                 self.edges[c] + self.cross(state[0], c) + (memo[b, c, t] if t else 0)

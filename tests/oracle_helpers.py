@@ -9,6 +9,7 @@ library is meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 import itertools
+import math
 
 # Exact minima of the edge boundary over all size-k subsets of a (2k)x(2k)
 # window in Z^2 whose every row and every column is a consecutive run.
@@ -171,6 +172,18 @@ def clique_min(n: int, k: int) -> int:
     if not 1 <= k <= 2**n:
         raise ValueError(f"size {k} is outside the clique regime 1..2^{n}")
     return k * (3**n - 1) - k * (k - 1)
+
+
+def planar_min(k: int, c: int) -> int:
+    """2⌈√(28k − c)⌉, in integers: a closed form fitted to the planar minima.
+
+    28 is the area of the zonotope spanned by the king steps, the Wulff
+    shape of this edge count, so 2√(28k) is the continuum bound.  The fit
+    held for every k <= 300 and every c in 12..18; it is an oracle only.
+    """
+    area = 28 * k - c
+    root = math.isqrt(area)
+    return 2 * (root + (root * root < area))
 
 
 def partitions(k: int, largest: int | None = None):

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 import subprocess
 import sys
@@ -39,6 +41,7 @@ from oracle_helpers import (
     partition_count,
     partition_set,
     partitions,
+    planar_min,
     planar_partition_min,
     unrestricted_census,
     window_family_min,
@@ -202,16 +205,7 @@ def test_neighbourhoods_are_built_only_for_layer_points():
     assert chain._closed and set(chain._closed) <= set().union(*chain.points)
 
 
-def test_sub_layers_by_removal_equal_subset_tests():
-    # the DP's sub-layers come from one-point removals; a subset test over
-    # the whole layer family is the definition they must reproduce
-    for dim, k_max in ((1, 20), (2, 14), (3, 9)):
-        chain = kinglattice.search._LayerChain(dim + 1, 10**6)
-        ids = [c for s in range(1, k_max + 1) for c in chain.family(s)]
-        assert len({chain.points[c] for c in ids}) == len(ids)
-        for layer in ids:
-            inside = [c for c in ids if chain.points[c] <= chain.points[layer]]
-            assert list(chain.sub_layers(layer)) == inside, (dim, layer)
+def test_layer_families_equal_segments_and_partitions():
     # layers grow one minimal point at a time; the oracles build the same
     # families from segments and partitions, sharing no code with the growth
     line = kinglattice.search._LayerChain(2, 10**6)
@@ -224,6 +218,64 @@ def test_sub_layers_by_removal_equal_subset_tests():
             partition_set(p) for p in partitions(s)
         }
         assert len(plane.family(s)) == partition_count(s)
+
+
+def reference_layer_dp(chain):
+    """count(B, r) and best(A, B, r) over ``chain``'s layers, by memoised
+    recursion whose steps come from a subset test over every layer built,
+    with E and cross recounted from king steps rather than read from the
+    chain's tables."""
+    points, size = chain.points, chain.size
+    (origin,) = points[0]
+    steps = list(itertools.product((-1, 0, 1), repeat=len(origin)))
+
+    @functools.cache
+    def inside(b):
+        return [c for c in range(len(points)) if points[c] <= points[b]]
+
+    def nexts(b, r):
+        return [c for c in inside(b) if size[c] <= r]
+
+    @functools.cache
+    def cross(a, c):
+        around = (tuple(map(operator.add, p, d)) for p in points[c] for d in steps)
+        return sum(q in points[a] for q in around)
+
+    def edges(c):  # cross(C, C) counts each point once, each edge twice
+        return (cross(c, c) - size[c]) // 2
+
+    @functools.cache
+    def count(b, r):
+        return 1 if r == 0 else sum(count(c, r - size[c]) for c in nexts(b, r))
+
+    @functools.cache
+    def best(a, b, r):
+        return max(
+            (
+                edges(c) + cross(a, c) + (best(b, c, r - size[c]) if r > size[c] else 0)
+                for c in nexts(b, r)
+            ),
+            default=0,
+        )
+
+    return count, best
+
+
+@pytest.mark.parametrize("n,k_max", [(3, 16), (4, 12)])
+def test_pooled_dp_equals_full_range_reference(n, k_max):
+    # each DP state draws its steps from the steps of the state that reached
+    # it; a recursion that draws them from every layer must settle the same
+    # values, whichever parent reached a state first
+    chain = kinglattice.search._LayerChain(n, 10**6)
+    for k in range(1, k_max + 1):
+        chain.family_size(k)
+        chain.optimal_sets(k)
+    count, best = reference_layer_dp(chain)
+    assert len(chain._count) > 1000 and len(chain._best) > 1000
+    for (b, r), ways in chain._count.items():
+        assert ways == count(b, r), (b, r)
+    for (a, b, r), gain in chain._best.items():
+        assert gain == best(a, b, r), (a, b, r)
 
 
 def test_enumerate_contains_the_centered_2x2_box():
@@ -515,6 +567,48 @@ def test_planar_search_matches_partition_oracle(k):
     r = min_edge_boundary(2, k)
     assert (r.min_edge_boundary, len(r.witnesses)) == oracle
     assert PLANAR_FROZEN.get(k, oracle) == oracle
+
+
+def test_planar_minima_match_the_closed_form():
+    # the oracle checks the search and never prunes it
+    for k in range(1, 61):
+        least = min_edge_boundary(2, k).min_edge_boundary
+        assert [planar_min(k, c) for c in range(12, 19)] == [least] * 7, k
+
+
+# ROADMAP's frozen frontier minima with their witness counts, all past the
+# clique regime but (4, 16) and (5, 10); the families of (2, 100), (3, 28)
+# and (3, 30) are past the default cap.
+FRONTIER_MINIMA = [
+    (2, 100, 106, 5),
+    (3, 24, 346, 3),
+    (3, 28, 386, 3),
+    (3, 30, 406, 9),
+    (4, 16, 1040, 1),
+    (4, 18, 1166, 18),
+    (5, 10, 2330, 310),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,k,minimum,witnesses", FRONTIER_MINIMA)
+def test_frontier_search_reproduces_frozen_minima(n, k, minimum, witnesses):
+    r = min_edge_boundary(n, k, max_sets=10**9)
+    assert r.min_edge_boundary == minimum
+    assert len(r.witnesses) == witnesses
+
+
+def test_search_memory_stays_under_its_ceiling():
+    # the DP's tables at (3, 20) peak near 8.9 MB traced; keeping every
+    # layer's sub-layers as well would take them past the ceiling
+    tracemalloc.start()
+    try:
+        r = min_edge_boundary(3, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.min_edge_boundary == 302
+    assert peak < 10_000_000
 
 
 def full_scan(n, k):

@@ -7,8 +7,11 @@ step is an addition and a membership test.  ``edge_boundary_formula``
 counts, for every step direction, the occupied lines plus the gap starts
 along those lines.  A direction d and its reverse -d cut a set into the
 same lines with mirrored positions, so the formula groups each +-d pair
-once and stores the counts under both.  It groups the points' tuples by
-line and counts gaps from sorted positions, never through the step codes
+once and stores the counts under both.  It reads the points' coordinates
+as columns, one per axis: for each first nonzero axis j of d it builds
+``core._line_table`` once, whose columns p[i], p[i] - p[j] and
+p[i] + p[j] give every line base along the pairs with that axis, and it
+counts gaps from sorted positions.  It never goes through the step codes
 or ``neighbors``; the two totals agree on every finite set, and keeping
 both exposes that identity as a runtime check.
 """
@@ -16,13 +19,17 @@ both exposes that identity as a runtime check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter, sub
 
 from .core import (
     Direction,
     Point,
     PointSet,
+    _columns,
     _direction_pairs,
     _line_classes,
+    _line_table,
     _offset_codes,
     _steps,
     line_sections,
@@ -109,18 +116,23 @@ class BoundaryBreakdown:
 
 def edge_boundary_formula(ps: PointSet) -> BoundaryBreakdown:
     """Edge boundary as the directionwise sum of line counts and gap counts."""
-    per = dict.fromkeys(_steps(ps.dim))  # lexicographic keys; each pair fills two
-    total = 0
-    for d, reverse, j in _direction_pairs(ps.dim):
-        classes = _line_classes(ps.points, d, j)
-        gaps = 0
-        for ts in classes.values():
-            if len(ts) > 1:
-                ts.sort()
-                gaps += sum(b - a >= 2 for a, b in zip(ts, ts[1:]))
-        per[d] = per[reverse] = (len(classes), gaps)
-        total += 2 * (len(classes) + gaps)
-    return BoundaryBreakdown(per, total)
+    steps = _steps(ps.dim)  # checks the dimension before any column is built
+    columns = _columns(ps)
+    counts: list[tuple[int, int]] = []
+    for j, pairs in groupby(_direction_pairs(ps.dim), itemgetter(2)):
+        table = _line_table(columns, j)
+        for d, _, _ in pairs:
+            classes = _line_classes(table, d, j)
+            gaps = 0
+            for ts in classes.values():
+                if len(ts) > 1:
+                    ts.sort()
+                    gaps += sum(map((2).__le__, map(sub, ts[1:], ts)))
+            counts.append((len(classes), gaps))
+    # the pairs' d are the second half of steps, in order, and each -d sits
+    # at the mirror place in the first half: one dict insert per direction
+    per = dict(zip(steps, counts[::-1] + counts))
+    return BoundaryBreakdown(per, 2 * sum(map(sum, counts)))
 
 
 def partial_edge_boundary(

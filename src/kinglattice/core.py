@@ -12,11 +12,13 @@ import gc
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
-from operator import add, countOf, mul
+from operator import add, countOf, getitem, mul, neg, sub
 from typing import Callable, Iterable, Iterator, TypeVar
 
 Point = tuple[int, ...]
 Direction = tuple[int, ...]
+Column = tuple[int, ...]  # one coordinate of every point of a set
+LineTable = list[tuple[Column, ...]]
 _T = TypeVar("_T")
 
 MAX_DIMENSION = 12
@@ -259,18 +261,50 @@ def line_base(p: Point, d: Direction) -> tuple[Point, int]:
     return base, t
 
 
-def _line_classes(
-    points: Iterable[Point], d: Direction, j: int
-) -> dict[Point, list[int]]:
+def _columns(ps: PointSet) -> list[Column]:
+    """ps's coordinates axis by axis, every column listing the points in one order.
+
+    An empty set has ps.dim empty columns.
+    """
+    return list(zip(*ps.points)) or [()] * ps.dim
+
+
+def _line_table(columns: list[Column], j: int) -> LineTable:
+    """The base columns of the lines along every step whose first nonzero axis is j.
+
+    For a step d with d[j] = 1, a point's line base is p - p[j] * d, so its
+    coordinate i is column i, column i minus column j, or column i plus
+    column j as d[i] is 0, 1 or -1: entry i holds those three at indices
+    0, 1 and -1.  Axes before j are 0 in every such d and keep column i
+    only.  Entry j holds column j, the positions, and zeros at index 1,
+    the bases' coordinate j.
+    """
+    cj = columns[j]
+    table = [(c,) for c in columns[:j]]
+    table.append((cj, (0,) * len(cj)))
+    table.extend(
+        (c, tuple(map(sub, c, cj)), tuple(map(add, c, cj))) for c in columns[j + 1 :]
+    )
+    return table
+
+
+def _line_classes(table: LineTable, d: Direction, j: int) -> dict[Point, list[int]]:
     """Map each line base along d to the unsorted positions of points on it.
 
-    j is d's first nonzero axis; bases and positions are those of line_base.
+    table is ``_line_table``'s for d's first nonzero axis j; bases and
+    positions are those of line_base.  The bases are the table's columns at
+    d's entries, zipped at C level, and the positions are column j, so the
+    loop only files points.  A d with d[j] = -1 cuts the lines of -d, with
+    positions negated.
     """
-    s = d[j]
+    positions = table[j][0]
+    if d[j] < 0:
+        d = tuple(map(neg, d))
+        positions = tuple(map(neg, positions))
     classes: dict[Point, list[int]] = {}
-    for p in points:
-        t = p[j] * s
-        classes.setdefault(tuple([a - t * c for a, c in zip(p, d)]), []).append(t)
+    setdefault = classes.setdefault
+    for base, t in zip(zip(*map(getitem, table, d)), positions):
+        setdefault(base, []).append(t)
     return classes
 
 
@@ -281,7 +315,8 @@ def line_sections(ps: PointSet, d: Direction) -> list[LineSection]:
     Sections come back sorted by base, positions sorted within each.  d must
     be a nonzero step in {-1,0,1}^n; anything else raises ValueError.
     """
-    classes = _line_classes(ps.points, d, _line_axis(d, ps.dim))
+    j = _line_axis(d, ps.dim)
+    classes = _line_classes(_line_table(_columns(ps), j), d, j)
     return [
         LineSection(base, d, tuple(sorted(ts)))
         for base, ts in sorted(classes.items())

@@ -52,7 +52,7 @@ def parse_point_set(text: str | bytes) -> PointSet:
                 raise ParseError(f"line {lineno}: dimension must be >= 1")
             continue
         try:
-            p = tuple(int(t) for t in tokens)
+            p = tuple(map(int, tokens))
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer coordinate in {line!r}") from None
         if dim is None:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import kinglattice.boundary
 from kinglattice.core import _offset_codes, _steps
 from kinglattice import (
+    LineSection,
     PointSet,
     closed_vertex_boundary,
     directions,
@@ -15,6 +16,7 @@ from kinglattice import (
     exterior_vertex_boundary,
     exterior_vertices,
     gap_set,
+    line_base,
     line_indices,
     line_sections,
     neighbors,
@@ -177,23 +179,44 @@ def test_breakdown_is_symmetric_under_direction_reversal():
         assert b.per_direction[rd] == (lines, gaps)
 
 
-def section_formula(ps):
-    """Reference formula: every direction sliced on its own by line_sections."""
-    per = {}
-    for d in directions(ps.dim):
-        sections = line_sections(ps, d)
-        per[d] = (len(sections), sum(sec.runs() - 1 for sec in sections))
-    return per, sum(lines + gaps for lines, gaps in per.values())
+# small_lattice_sets moved by about 10^18 along every axis, the sign drawn per
+# axis, so base coordinates p[i] -+ p[j] reach 2 * 10^18 in size
+far_lattice_sets = small_lattice_sets.flatmap(
+    lambda ps: st.tuples(*[st.sampled_from((-(10**18), 10**18))] * ps.dim).map(
+        ps.translate
+    )
+)
+
+
+def sections_point_by_point(ps, d):
+    """Reference sections: each point filed under its own line_base, one at a time."""
+    classes = {}
+    for p in ps.points:
+        base, t = line_base(p, d)
+        classes.setdefault(base, []).append(t)
+    return [
+        LineSection(base, d, tuple(sorted(ts))) for base, ts in sorted(classes.items())
+    ]
 
 
 @settings(max_examples=150)
-@given(small_lattice_sets)
+@given(small_lattice_sets | far_lattice_sets)
 @with_edge_cases
+@example(PointSet.of([(10**18, -(10**18), 1)]))
+@example(PointSet.of([(10**18, -(10**18)), (10**18 + 2, 2 - 10**18), (-(10**18), 0)]))
 def test_formula_matches_per_direction_section_definition(ps):
-    per, total = section_formula(ps)
+    # the column kernel against line_base in every direction, those whose
+    # first nonzero entry is -1 included: line_sections directly, and the
+    # formula's (lines, jumps of 2 or more) per direction
+    per = {}
+    for d in directions(ps.dim):
+        sections = sections_point_by_point(ps, d)
+        assert line_sections(ps, d) == sections
+        pairs = (zip(sec.positions, sec.positions[1:]) for sec in sections)
+        per[d] = (len(sections), sum(b - a >= 2 for pair in pairs for a, b in pair))
     b = edge_boundary_formula(ps)
     assert b.per_direction == per
-    assert b.total == total
+    assert b.total == sum(lines + gaps for lines, gaps in per.values())
 
 
 @settings(max_examples=150)

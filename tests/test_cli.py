@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -734,6 +735,24 @@ def test_cli_boundary_refuses_high_dimension(tmp_path, capsys, dim):
             assert code == 1
             assert err == f"error: dimension must be in 1..12, got {dim}\n"
             assert out == ""
+
+
+def test_cli_refuses_a_huge_dimension_header_before_any_column(tmp_path, capsys):
+    # a header alone: the dimension check must come before the formula's
+    # coordinate columns, which would be 10^9 empty ones here
+    f = tmp_path / "huge.pts"
+    f.write_text("dim 1000000000\n")
+    for command in ("boundary", "compress"):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, command, "--input", str(f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert err == "error: dimension must be in 1..12, got 1000000000\n"
+        assert out == ""
+        assert peak < 2**20, (command, peak)
 
 
 def test_cli_search_refuses_high_dimension(capsys):

@@ -1,9 +1,12 @@
 """Boundary quantities for finite sets in the king-move lattice graph.
 
 Two routes to the edge boundary are provided on purpose.
-``edge_boundary_count`` counts, per point, the 3^n - 1 steps that leave the
-set; points and steps are the integer codes of ``core._offset_codes``, so a
-step is an addition and a membership test.  ``edge_boundary_formula``
+``edge_boundary_count`` counts the 3^n - 1 steps from each point that leave
+the set.  Points and steps are the integer codes of ``core._offset_codes``,
+built from the coordinate columns, so a step is an addition and a
+membership test; the steps that stay inside are counted over the upper
+half of the offsets, in one C-level stream of (code, offset) pairs, and
+doubled, since each inside edge is a step both ways.  ``edge_boundary_formula``
 counts, for every step direction, the occupied lines plus the gap starts
 along those lines.  A direction d and its reverse -d cut a set into the
 same lines with mirrored positions, so the formula groups each +-d pair
@@ -19,8 +22,8 @@ both exposes that identity as a runtime check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter, sub
+from itertools import groupby, product, starmap
+from operator import add, itemgetter, sub
 
 from .core import (
     Direction,
@@ -29,10 +32,10 @@ from .core import (
     _columns,
     _direction_pairs,
     _line_classes,
+    _line_positions,
     _line_table,
     _offset_codes,
     _steps,
-    line_sections,
     neighbors,
 )
 
@@ -41,15 +44,18 @@ def edge_boundary_count(ps: PointSet) -> int:
     """Number of edges with exactly one endpoint in ps.
 
     Counts every point's steps that leave ps, so each edge is counted once,
-    from its in-set endpoint: k(3^n - 1) less the steps that land in ps.  A
-    point's steps are its code plus each step offset, tested against the
-    codes of ps in one C-level pass per point.
+    from its in-set endpoint: k(3^n - 1) less the steps that land in ps.
+    Points and steps are the codes of ``_offset_codes``, so a step is an
+    addition and a membership test.  An inside step c -> c + o is the same
+    edge as the inside step c + o -> c along -o, so the inside steps along
+    the upper half of the offsets, those of the d whose first nonzero entry
+    is +1, are half of all of them: that half is counted over the product
+    of codes and offsets in one C-level stream, and doubled.
     """
     codes, offsets = _offset_codes(ps)
-    inside = codes.__contains__
-    return len(codes) * len(offsets) - sum(
-        sum(map(inside, map(c.__add__, offsets))) for c in codes
-    )
+    half = offsets[len(offsets) // 2 :]  # each -o sits at the mirror place
+    inside = sum(map(codes.__contains__, starmap(add, product(codes, half))))
+    return len(codes) * len(offsets) - 2 * inside
 
 
 def exterior_vertices(ps: PointSet) -> frozenset[Point]:
@@ -62,13 +68,11 @@ def exterior_vertex_boundary(ps: PointSet) -> int:
     """Number of points outside ps adjacent to at least one point of ps.
 
     Counts the codes that ps's steps reach and ps does not hold, as
-    ``edge_boundary_count`` steps; ``exterior_vertices`` lists the points.
+    ``edge_boundary_count`` steps, over all of the offsets;
+    ``exterior_vertices`` lists the points.
     """
     codes, offsets = _offset_codes(ps)
-    reached: set[int] = set()
-    for c in codes:
-        reached.update(map(c.__add__, offsets))
-    return len(reached - codes)
+    return len(set(starmap(add, product(codes, offsets))) - codes)
 
 
 def closed_vertex_boundary(ps: PointSet) -> int:
@@ -78,7 +82,7 @@ def closed_vertex_boundary(ps: PointSet) -> int:
 
 def projection_count(ps: PointSet, d: Direction) -> int:
     """Number of distinct lines in direction d that meet ps."""
-    return len(line_sections(ps, d))
+    return len(_line_positions(ps, d))
 
 
 def gap_set(ps: PointSet, d: Direction) -> frozenset[Point]:
@@ -90,10 +94,11 @@ def gap_set(ps: PointSet, d: Direction) -> frozenset[Point]:
     jump of at least 2 contribute.
     """
     out: set[Point] = set()
-    for sec in line_sections(ps, d):
-        for a, b in zip(sec.positions, sec.positions[1:]):
+    for base, ts in _line_positions(ps, d).items():
+        ts.sort()
+        for a, b in zip(ts, ts[1:]):
             if b - a >= 2:
-                out.add(tuple(c + (a + 1) * s for c, s in zip(sec.base, d)))
+                out.add(tuple(c + (a + 1) * s for c, s in zip(base, d)))
     return frozenset(out)
 
 

@@ -8,7 +8,8 @@ and parse_report; compression traces are written only.
 from __future__ import annotations
 
 import json
-from typing import Any
+from json.encoder import encode_basestring_ascii as _quoted
+from typing import Any, Sequence
 
 from .core import PointSet, directions
 from .boundary import BoundaryBreakdown, exterior_vertices
@@ -76,8 +77,8 @@ def serialize_point_set(ps: PointSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _points_json(ps: PointSet) -> list[list[int]]:
-    return [list(p) for p in ps]
+def _points_json(ps: PointSet) -> list[tuple[int, ...]]:
+    return sorted(ps.points)  # JSON writes each tuple as an array
 
 
 def _breakdown_dict(b: BoundaryBreakdown, direct_total: int | None) -> dict[str, Any]:
@@ -166,7 +167,67 @@ def serialize_report(
         }
     else:
         raise TypeError(f"cannot serialize {type(r).__name__}")
-    return json.dumps(doc, indent=2) + "\n"
+    out: list[str] = []
+    _write_indented(doc, "", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_indented(value: Any, indent: str, out: list[str]) -> None:
+    """Append to out the text ``json.dumps(value, indent=2)`` gives value,
+    nested at indent.
+
+    With an indent, json.dumps always runs the pure-Python encoder, so this
+    walks a report's dicts and lists itself and leaves the bulk, the point
+    lists, to ``_rows_text``.  Report values are dicts with str keys,
+    lists, strs, ints, bools and None.  A nonempty list whose first item is
+    a list or a tuple is a point list, rows of ints, and one whose first
+    item is an int holds ints.
+    """
+    if isinstance(value, dict) and value:
+        inner = indent + "  "
+        head = "{\n" + inner
+        for key, v in value.items():
+            out.append(f"{head}{_quoted(key)}: ")
+            _write_indented(v, inner, out)
+            head = ",\n" + inner
+        out.append(f"\n{indent}}}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        if isinstance(value[0], (list, tuple)):
+            out.append(_rows_text(value, indent))
+        elif type(value[0]) is int:
+            items = (",\n" + inner).join(map(repr, value))
+            out.append(f"[\n{inner}{items}\n{indent}]")
+        else:
+            head = "[\n" + inner
+            for v in value:
+                out.append(head)
+                _write_indented(v, inner, out)
+                head = ",\n" + inner
+            out.append(f"\n{indent}]")
+    elif type(value) is int:
+        out.append(repr(value))
+    elif isinstance(value, str):
+        out.append(_quoted(value))
+    else:
+        out.append(json.dumps(value))  # a bool, None, or an empty dict or list
+
+
+def _rows_text(rows: Sequence[Sequence[int]], indent: str) -> str:
+    """``json.dumps(rows, indent=2)`` nested at indent, for nonempty rows of ints.
+
+    The C encoder writes the rows compactly, and the layout follows by
+    replacing separators, which ints never hold: every comma first gets the
+    coordinates' line break, then the commas between rows are set back one
+    level, and the outer brackets open and close their own lines.
+    """
+    row, item = "\n" + indent + "  ", "\n" + indent + "    "
+    text = json.dumps(rows, separators=(",", ":"))
+    text = text.replace(",", "," + item)
+    text = text.replace("]," + item + "[", f"{row}],{row}[{item}")
+    text = text.replace("[[", f"[{row}[{item}", 1)
+    return text.replace("]]", f"{row}]\n{indent}]", 1)
 
 
 def _typed(v: Any, kind: type) -> Any:

@@ -317,14 +317,12 @@ class _LayerChain:
         return most, list(self.walk(k, tops, on_best))
 
 
-def _counted_chains(n: int, k: int, max_sets: int) -> tuple[_LayerChain, int]:
-    """Layer tables for (n, k) and the family size, or the enumeration's errors."""
-    _check_request(n, k, max_sets)
-    chains = _LayerChain(n, max_sets)
+def _family_size(chains: _LayerChain, n: int, k: int) -> int:
+    """The size-k family's size, or the enumeration's error past the cap."""
     try:
-        return chains, chains.family_size(k)
+        return chains.family_size(k)
     except EnumerationOverflowError:
-        raise _overflow(n, k, max_sets) from None
+        raise _overflow(n, k, chains.cap) from None
 
 
 def count_compressed_sets(n: int, k: int, max_sets: int = DEFAULT_MAX_SETS) -> int:
@@ -337,7 +335,8 @@ def count_compressed_sets(n: int, k: int, max_sets: int = DEFAULT_MAX_SETS) -> i
     First layers go smallest first, so an oversized family is refused after
     only small layer families are built.
     """
-    return _counted_chains(n, k, max_sets)[1]
+    _check_request(n, k, max_sets)
+    return _family_size(_LayerChain(n, max_sets), n, k)
 
 
 def enumerate_compressed_sets(
@@ -448,12 +447,31 @@ def min_edge_boundary(
     recursion rather than walked; the family past ``max_sets`` raises
     EnumerationOverflowError, as enumerating it would, before the DP runs.
     """
-    chains, scanned = _counted_chains(n, k, max_sets)
-    inside, tying = chains.optimal_sets(k)
+    _check_request(n, k, max_sets)
+    chains = _LayerChain(n, max_sets)
+    optima = _optima(chains, n, k)
     del chains  # the tables are not needed by the checks
+    return _checked_report(n, k, *optima)
+
+
+def _optima(chains: _LayerChain, n: int, k: int) -> tuple[int, int, list[PointSet]]:
+    """The family size, the minimum boundary and the sorted tying witnesses
+    for (n, k), from layer tables that may hold other sizes too.
+
+    No table entry depends on k: layers are built by size, and the memos are
+    keyed by layers and points left.  So one ``_LayerChain`` serves every k.
+    """
+    scanned = _family_size(chains, n, k)
+    inside, tying = chains.optimal_sets(k)
     witnesses = [PointSet(n, pts).normalized() for pts in tying]
     witnesses.sort(key=lambda ps: sorted(ps.points))
-    best = k * (3**n - 1) - 2 * inside
+    return scanned, k * (3**n - 1) - 2 * inside, witnesses
+
+
+def _checked_report(
+    n: int, k: int, scanned: int, best: int, witnesses: list[PointSet]
+) -> SearchReport:
+    """The search report, once every witness has passed both routes at ``best``."""
     found = []
     for ps in witnesses:
         b = _verify_candidate(ps)
@@ -484,7 +502,12 @@ def survey_gap_free_optima(
     """Exhaustive minima for every size up to k_max, with gap diagnostics.
 
     Each report records whether some, and whether every, minimizing witness
-    is gap-free in all directions, not just along the axes.
+    is gap-free in all directions, not just along the axes.  All sizes share
+    one set of layer tables, and a size whose family passes ``max_sets``
+    raises as ``min_edge_boundary`` would for it.
     """
     _check_request(n, k_max, max_sets)
-    return [min_edge_boundary(n, k, max_sets=max_sets) for k in range(1, k_max + 1)]
+    chains = _LayerChain(n, max_sets)
+    return [
+        _checked_report(n, k, *_optima(chains, n, k)) for k in range(1, k_max + 1)
+    ]

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import subprocess
@@ -27,6 +28,7 @@ import kinglattice.boundary
 import kinglattice.cli
 import kinglattice.compression
 import kinglattice.core
+import kinglattice.formats
 from kinglattice.cli import main
 from kinglattice.search import DEFAULT_MAX_SETS, EnumerationOverflowError
 from conftest import box, subprocess_env
@@ -151,6 +153,49 @@ def test_survey_report_round_trip():
 def test_serialize_report_rejects_other_types():
     with pytest.raises(TypeError):
         serialize_report({"not": "a report"})
+
+
+FAR = 10**18
+
+
+def _far_witnesses(r):
+    """r with its witnesses moved to negative and +-10^18 coordinates."""
+    shift = ((-FAR, FAR - 7) + (-3,) * r.dimension)[: r.dimension]
+    moved = tuple(w.translate(shift) for w in r.witnesses)
+    return dataclasses.replace(r, witnesses=moved)
+
+
+@pytest.mark.parametrize(
+    "make, direct_total",
+    [
+        (lambda: edge_boundary_formula(PointSet.of([(-3, FAR), (0, 0), (-FAR, -1)])), None),
+        (lambda: edge_boundary_formula(box(4, 3)), 38),
+        (lambda: edge_boundary_formula(PointSet(2)), 0),
+        (lambda: edge_boundary_formula(PointSet.of([(0,)])), None),
+        (lambda: min_edge_boundary(2, 5), None),
+        (lambda: _far_witnesses(min_edge_boundary(3, 3)), None),
+        (lambda: survey_gap_free_optima(2, 3), None),
+        (lambda: [_far_witnesses(r) for r in survey_gap_free_optima(1, 2)], None),
+        (lambda: [], None),
+        (lambda: compress_to_fixed_point(PointSet(2)), None),
+        (lambda: compress_to_fixed_point(PointSet.of([(-FAR, 5), (FAR, -3), (0, 0), (1, 1)])), None),
+        (lambda: compress_to_fixed_point(PointSet.of([(5,), (-2,)])), None),
+        (lambda: compress_to_fixed_point(random_point_set(3, 40, 5, seed=4)), None),
+    ],
+)
+def test_report_writer_matches_the_indenting_encoder(make, direct_total, monkeypatch):
+    # the writer against the same document through json.dumps(indent=2): a
+    # breakdown with and without direct_total, searches, surveys, and traces
+    # of an empty set, far-apart points and a line
+    r = make()
+    text = serialize_report(r, direct_total=direct_total)
+    docs = []
+    monkeypatch.setattr(
+        kinglattice.formats, "_write_indented", lambda doc, indent, out: docs.append(doc)
+    )
+    serialize_report(r, direct_total=direct_total)
+    (doc,) = docs
+    assert text == json.dumps(doc, indent=2) + "\n"
 
 
 # A search report written before the heuristic mode was removed, verbatim.
@@ -693,17 +738,18 @@ def test_routes_stay_independent(tmp_path, capsys, monkeypatch):
         assert edge_boundary_formula(ps).total == nb_edge_boundary(ps.points)
 
     # ... so a count broken there is caught by the formula: dropping the
-    # last step, (+1,+1), loses the 6 exits the 4x3 box has along it
-    def drop_last_step(ps):
+    # steps +-(1, 1), the last and the first, loses the 2 x 6 exits the 4x3
+    # box has along them
+    def drop_diagonal_steps(ps):
         codes, offsets = real(ps)
-        return codes, offsets[:-1]
+        return codes, offsets[1:-1]
 
-    monkeypatch.setattr(kinglattice.boundary, "_offset_codes", drop_last_step)
+    monkeypatch.setattr(kinglattice.boundary, "_offset_codes", drop_diagonal_steps)
     f = tmp_path / "b.pts"
     f.write_text(serialize_point_set(box(4, 3)))
     code, out, err = run_cli(capsys, "boundary", "--input", str(f), "--format", "json")
     assert code == 2
-    assert err == "invariant violation: direct 32 != formula 38\n"
+    assert err == "invariant violation: direct 26 != formula 38\n"
     assert json.loads(out)["agree"] is False
 
 

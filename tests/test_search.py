@@ -734,13 +734,14 @@ def test_witness_off_the_dp_optimum_is_caught(monkeypatch, capsys):
 
 
 def test_witness_gap_census_reads_the_checked_breakdown(monkeypatch):
-    # gap_set walks line_sections; the search must need neither
+    # gap_set reads its lines through _line_positions; the search must need
+    # neither that nor line_sections
     expected = min_edge_boundary(3, 6)
 
     def refuse(*args):
         raise AssertionError("a search witness got a second gap pass")
 
-    monkeypatch.setattr(kinglattice.boundary, "line_sections", refuse)
+    monkeypatch.setattr(kinglattice.boundary, "_line_positions", refuse)
     monkeypatch.setattr(kinglattice.core, "line_sections", refuse)
     with pytest.raises(AssertionError):
         gap_set(box(2, 2), (1, 0))
@@ -789,6 +790,25 @@ def test_survey_planar_small_sizes():
 def test_survey_overflow_propagates():
     with pytest.raises(EnumerationOverflowError):
         survey_gap_free_optima(2, 12, max_sets=5)
+
+
+@pytest.mark.parametrize("n, cap", [(2, 1), (2, 10), (3, 20), (4, 40)])
+def test_survey_shares_tables_and_fails_where_single_searches_do(n, cap):
+    # one set of layer tables serves every size: the reports are the ones
+    # separate searches give, and the first size whose family passes the cap
+    # is refused with the separate search's message
+    singles = []
+    for k in itertools.count(1):
+        try:
+            singles.append(min_edge_boundary(n, k, max_sets=cap))
+        except EnumerationOverflowError as e:
+            refused, message = k, str(e)
+            break
+    assert message == f"more than {cap} compressed sets for n={n}, k={refused}; raise the cap"
+    assert survey_gap_free_optima(n, refused - 1, max_sets=cap) == singles
+    with pytest.raises(EnumerationOverflowError) as caught:
+        survey_gap_free_optima(n, refused + 2, max_sets=cap)
+    assert str(caught.value) == message
 
 
 def test_random_point_set_matches_product_and_sample():

@@ -12,8 +12,8 @@ import gc
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
-from operator import add, countOf, getitem, neg, sub
-from typing import Callable, Iterable, Iterator, TypeVar
+from operator import add, countOf, getitem, index, neg, sub
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 Point = tuple[int, ...]
 Direction = tuple[int, ...]
@@ -89,6 +89,16 @@ def _direction_pairs(n: int) -> tuple[tuple[Direction, Direction, int], ...]:
     half = len(steps) // 2
     mirrored = zip(steps[half:], reversed(steps[:half]))
     return tuple((d, r, d.index(1)) for d, r in mirrored)
+
+
+def _integer(v: Any) -> int:
+    """v as an int if it is an integer (bools and __index__ types included),
+    never truncated; anything else, such as a float or a str, raises
+    ValueError."""
+    try:
+        return index(v)
+    except TypeError:
+        raise ValueError(f"non-integer coordinate {v!r}") from None
 
 
 def chebyshev_distance(u: Point, v: Point) -> int:
@@ -177,9 +187,10 @@ class PointSet:
     def of(cls, points: Iterable[Iterable[int]], dim: int | None = None) -> "PointSet":
         """Build from any iterable of coordinate sequences, inferring dim.
 
-        An empty iterable needs an explicit dim.
+        An empty iterable needs an explicit dim.  Coordinates must be
+        integers; a float or a str raises ValueError.
         """
-        pts = frozenset(tuple(int(c) for c in p) for p in points)
+        pts = frozenset(tuple(map(_integer, p)) for p in points)
         if dim is None:
             if not pts:
                 raise ValueError("cannot infer dimension of an empty set")
@@ -196,7 +207,7 @@ class PointSet:
         return iter(sorted(self.points))
 
     def translate(self, offset: Iterable[int]) -> "PointSet":
-        off = tuple(offset)
+        off = tuple(map(_integer, offset))
         if len(off) != self.dim:
             raise ValueError(f"offset {off} does not have dimension {self.dim}")
         return PointSet(
@@ -276,6 +287,8 @@ def _columns(ps: PointSet) -> list[Column]:
     return list(zip(*ps.points)) or [()] * ps.dim
 
 
+# Built per first nonzero axis, not per direction: per-direction bases need a
+# Python loop over the axes, which dominates small sets in high dimension.
 def _line_table(columns: list[Column], j: int) -> LineTable:
     """The base columns of the lines along every step whose first nonzero axis is j.
 

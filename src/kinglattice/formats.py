@@ -3,15 +3,20 @@
 Every document carries the ``kinglattice.report/1`` schema tag.  Boundary
 breakdowns, search reports and surveys round-trip through serialize_report
 and parse_report; compression traces are written only.
+
+A report's text is ``json.dumps(doc, indent=2)``'s.  With an indent,
+json.dumps runs the pure-Python encoder, so the writer holds each point set
+back as a null and splices in its sorted points, the bulk of a large report,
+as written by the C encoder and laid out by ``str.replace`` (``_rows_text``).
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii as _quoted
+import re
 from typing import Any, Sequence
 
-from .core import PointSet, directions
+from .core import Point, PointSet, directions
 from .boundary import BoundaryBreakdown, exterior_vertices
 from .compression import CompressionTrace
 from .search import SearchReport, WitnessStats
@@ -29,10 +34,12 @@ def parse_point_set(text: str | bytes) -> PointSet:
 
     ``#`` starts a comment, blank lines are skipped, and an optional first
     content line ``dim N`` declares the dimension (required when the set is
-    empty, inferred from the first point otherwise).
+    empty, inferred from the first point otherwise).  One leading byte-order
+    mark, as some editors save, is dropped.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    text = text.removeprefix("\ufeff")
     dim: int | None = None
     points: set[tuple[int, ...]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -77,10 +84,6 @@ def serialize_point_set(ps: PointSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _points_json(ps: PointSet) -> list[tuple[int, ...]]:
-    return sorted(ps.points)  # JSON writes each tuple as an array
-
-
 def _breakdown_dict(b: BoundaryBreakdown, direct_total: int | None) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "schema": SCHEMA,
@@ -112,7 +115,7 @@ def _search_dict(r: SearchReport) -> dict[str, Any]:
         "all_witnesses_gap_free": r.all_witnesses_gap_free,
         "witnesses": [
             {
-                "points": _points_json(w),
+                "points": w,
                 "exterior_vertex_boundary": s.exterior_vertex_boundary,
                 "fully_gap_free": s.fully_gap_free,
             }
@@ -126,7 +129,7 @@ def _trace_dict(trace: CompressionTrace) -> dict[str, Any]:
         "schema": SCHEMA,
         "kind": "compression_trace",
         "dim": trace.initial.dim,
-        "initial_points": _points_json(trace.initial),
+        "initial_points": trace.initial,
         "steps": [
             {
                 "axis": s.axis,
@@ -137,8 +140,30 @@ def _trace_dict(trace: CompressionTrace) -> dict[str, Any]:
             }
             for s in trace.steps
         ],
-        "final_points": _points_json(trace.final),
+        "final_points": trace.final,
     }
+
+
+def _document(
+    r: SearchReport | BoundaryBreakdown | CompressionTrace | list[SearchReport],
+    direct_total: int | None,
+) -> dict[str, Any]:
+    """The report document, each point list still a PointSet."""
+    if isinstance(r, BoundaryBreakdown):
+        return _breakdown_dict(r, direct_total)
+    if isinstance(r, SearchReport):
+        return _search_dict(r)
+    if isinstance(r, CompressionTrace):
+        return _trace_dict(r)
+    if isinstance(r, list):
+        return {"schema": SCHEMA, "kind": "survey", "rows": [_search_dict(x) for x in r]}
+    raise TypeError(f"cannot serialize {type(r).__name__}")
+
+
+# The line json.dumps(indent=2) writes for a held point set.  Only these keys
+# hold point sets, and the encoder escapes newlines in strings, so no string
+# value can start such a line.
+_HELD_LINE = re.compile(r'^( *)("(?:initial_|final_)?points": )null(,?)$', re.MULTILINE)
 
 
 def serialize_report(
@@ -153,74 +178,32 @@ def serialize_report(
     A list of search reports becomes a survey document.  A compression trace
     is written but never parsed back.
     """
-    if isinstance(r, BoundaryBreakdown):
-        doc = _breakdown_dict(r, direct_total)
-    elif isinstance(r, SearchReport):
-        doc = _search_dict(r)
-    elif isinstance(r, CompressionTrace):
-        doc = _trace_dict(r)
-    elif isinstance(r, list):
-        doc = {
-            "schema": SCHEMA,
-            "kind": "survey",
-            "rows": [_search_dict(x) for x in r],
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(r).__name__}")
-    out: list[str] = []
-    _write_indented(doc, "", out)
-    out.append("\n")
-    return "".join(out)
+    held: list[list[Point]] = []
 
+    def hold(ps: PointSet) -> None:
+        held.append(sorted(ps.points))
 
-def _write_indented(value: Any, indent: str, out: list[str]) -> None:
-    """Append to out the text ``json.dumps(value, indent=2)`` gives value,
-    nested at indent.
-
-    With an indent, json.dumps always runs the pure-Python encoder, so this
-    walks a report's dicts and lists itself and leaves the bulk, the point
-    lists, to ``_rows_text``.  Report values are dicts with str keys,
-    lists, strs, ints, bools and None.  A nonempty list whose first item is
-    a list or a tuple is a point list, rows of ints, and one whose first
-    item is an int holds ints.
-    """
-    if isinstance(value, dict) and value:
-        inner = indent + "  "
-        head = "{\n" + inner
-        for key, v in value.items():
-            out.append(f"{head}{_quoted(key)}: ")
-            _write_indented(v, inner, out)
-            head = ",\n" + inner
-        out.append(f"\n{indent}}}")
-    elif isinstance(value, (list, tuple)) and value:
-        inner = indent + "  "
-        if isinstance(value[0], (list, tuple)):
-            out.append(_rows_text(value, indent))
-        elif type(value[0]) is int:
-            items = (",\n" + inner).join(map(repr, value))
-            out.append(f"[\n{inner}{items}\n{indent}]")
-        else:
-            head = "[\n" + inner
-            for v in value:
-                out.append(head)
-                _write_indented(v, inner, out)
-                head = ",\n" + inner
-            out.append(f"\n{indent}]")
-    elif type(value) is int:
-        out.append(repr(value))
-    elif isinstance(value, str):
-        out.append(_quoted(value))
-    else:
-        out.append(json.dumps(value))  # a bool, None, or an empty dict or list
+    text = json.dumps(
+        _document(r, direct_total), indent=2, default=hold, check_circular=False
+    )
+    if held:  # a breakdown holds none, and its text runs to megabytes in Z^10
+        rows = iter(held)
+        text, spliced = _HELD_LINE.subn(
+            lambda m: m[1] + m[2] + _rows_text(next(rows), m[1]) + m[3], text
+        )
+        if spliced != len(held):
+            raise RuntimeError(f"spliced {spliced} of {len(held)} held point lists")
+    return text + "\n"
 
 
 def _rows_text(rows: Sequence[Sequence[int]], indent: str) -> str:
-    """``json.dumps(rows, indent=2)`` nested at indent, for nonempty rows of ints.
+    """``json.dumps(rows, indent=2)`` nested at indent, for rows of ints.
 
     The C encoder writes the rows compactly, and the layout follows by
     replacing separators, which ints never hold: every comma first gets the
     coordinates' line break, then the commas between rows are set back one
-    level, and the outer brackets open and close their own lines.
+    level, and the outer brackets open and close their own lines.  No rows
+    give ``[]``, which none of the replacements touches.
     """
     row, item = "\n" + indent + "  ", "\n" + indent + "    "
     text = json.dumps(rows, separators=(",", ":"))

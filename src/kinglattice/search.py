@@ -181,23 +181,23 @@ class _LayerChain:
         return [c for c in pool[:cut] if inside(points[c])]
 
     def _post_order(
-        self,
-        memo: dict[_State, int],
-        root: _State,
-        kids: Callable[[_State, Sequence[int]], list[_State]],
+        self, memo: dict[_State, int], root: _State
     ) -> Iterator[tuple[_State, list[_State]]]:
         """Yield ``root`` and the states it needs that ``memo`` lacks, children first.
 
         A state ends in a layer B and its points left r; states with none
-        left are leaves.  Its children are ``kids(state, steps)``, the steps
-        drawn from the pool on its stack entry: every layer for the root,
-        the parent's steps for the rest.  Each state comes with its children,
-        all in ``memo`` by then except the leaves, which the caller values
-        itself; the caller stores the state's value in ``memo`` before asking
-        for the next.  An explicit stack replaces recursion, so a chain of
-        any length, such as the k one-point layers of a segment in Z^1, uses
-        no Python frames.  Children have fewer points left, so no cycles.
+        left are leaves.  Each step C from B gives the child state[1:-1] +
+        (C, r - |C|): (C, r - |C|) for a state (B, r), (B, C, r - |C|) for
+        (A, B, r).  The steps are drawn from the pool on the state's stack
+        entry: every layer for the root, the parent's steps for the rest.
+        Each state comes with its children, all in ``memo`` by then except
+        the leaves, which the caller values itself; the caller stores the
+        state's value in ``memo`` before asking for the next.  An explicit
+        stack replaces recursion, so a chain of any length, such as the k
+        one-point layers of a segment in Z^1, uses no Python frames.
+        Children have fewer points left, so no cycles.
         """
+        size = self.size
         todo = [(root, range(len(self.points)), None)]
         while todo:
             state, pool, children = todo[-1]
@@ -206,8 +206,8 @@ class _LayerChain:
                 continue
             if children is None:
                 r = state[-1]
-                subs = self.steps(state[-2], r, pool) if r else []
-                children = kids(state, subs)
+                subs = self.steps(state[-2], r, pool)
+                children = [(*state[1:-1], c, r - size[c]) for c in subs]
                 missing = [
                     (kid, subs, None) for kid in children if kid[-1] and kid not in memo
                 ]
@@ -264,11 +264,9 @@ class _LayerChain:
 
         g(B, r) = [r = 0] + sum of g(C, r - |C|) over the steps from B.
         """
-        memo, size = self._count, self.size
+        memo = self._count
         root = (b, r)
-        for state, steps in self._post_order(
-            memo, root, lambda s, subs: [(c, s[1] - size[c]) for c in subs]
-        ):
+        for state, steps in self._post_order(memo, root):
             ways = (state[1] == 0) + sum(memo[c, t] if t else 1 for c, t in steps)
             memo[state] = min(ways, self.cap + 1)
         return memo[root]
@@ -285,11 +283,11 @@ class _LayerChain:
 
     def best(self, a: int, b: int, r: int) -> int:
         """f(A, B, r): the most edges r more points add after layers A and B."""
-        memo, size = self._best, self.size
+        memo = self._best
         root = (a, b, r)
-        for state, nexts in self._post_order(
-            memo, root, lambda s, subs: [(s[1], c, s[2] - size[c]) for c in subs]
-        ):
+        for state, nexts in self._post_order(memo, root):
+            # the gain is written out, as in on_best, not shared by a method:
+            # one more call per transition slowed the DP by about a quarter
             gains = (
                 self.edges[c] + self.cross(state[0], c) + (memo[b, c, t] if t else 0)
                 for b, c, t in nexts

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -54,6 +55,16 @@ def test_parse_accepts_commas_comments_and_blanks():
 
 def test_parse_accepts_bytes():
     assert parse_point_set(b"1 2\n").points == frozenset({(1, 2)})
+
+
+def test_parse_drops_one_leading_byte_order_mark():
+    text = "dim 2\n0 0\n1 2\n"
+    plain = parse_point_set(text)
+    assert parse_point_set("\ufeff" + text) == plain
+    assert parse_point_set(("\ufeff" + text).encode("utf-8")) == plain
+    for later in ("\ufeff\ufeff" + text, text + "\ufeff3 4\n"):
+        with pytest.raises(ParseError, match="non-integer coordinate"):
+            parse_point_set(later)
 
 
 def test_parse_duplicate_reports_line():
@@ -183,19 +194,15 @@ def _far_witnesses(r):
         (lambda: compress_to_fixed_point(random_point_set(3, 40, 5, seed=4)), None),
     ],
 )
-def test_report_writer_matches_the_indenting_encoder(make, direct_total, monkeypatch):
-    # the writer against the same document through json.dumps(indent=2): a
-    # breakdown with and without direct_total, searches, surveys, and traces
-    # of an empty set, far-apart points and a line
+def test_report_writer_matches_the_indenting_encoder(make, direct_total):
+    # the writer against the same document through json.dumps(indent=2) with
+    # every point set written in full: a breakdown with and without
+    # direct_total, searches, surveys, and traces of an empty set, far-apart
+    # points and a line
     r = make()
-    text = serialize_report(r, direct_total=direct_total)
-    docs = []
-    monkeypatch.setattr(
-        kinglattice.formats, "_write_indented", lambda doc, indent, out: docs.append(doc)
-    )
-    serialize_report(r, direct_total=direct_total)
-    (doc,) = docs
-    assert text == json.dumps(doc, indent=2) + "\n"
+    doc = kinglattice.formats._document(r, direct_total)
+    expected = json.dumps(doc, indent=2, default=lambda ps: sorted(ps.points)) + "\n"
+    assert serialize_report(r, direct_total=direct_total) == expected
 
 
 # A search report written before the heuristic mode was removed, verbatim.
@@ -243,6 +250,197 @@ def test_old_heuristic_report_still_parses_and_round_trips():
     assert (r.dimension, r.size, r.min_edge_boundary, r.sets_scanned) == (2, 3, 18, 6)
     assert r.witnesses == (PointSet.of([(0, 0), (0, 1), (1, 0)]),)
     assert serialize_report(r) == OLD_HEURISTIC_REPORT
+
+
+# Writer output in full, verbatim: the layout comes from the interpreter's
+# json module, so these pin the bytes on every supported version.
+
+# compress_to_fixed_point of {(0, 2), (3, 0)}
+TRACE_REPORT = """\
+{
+  "schema": "kinglattice.report/1",
+  "kind": "compression_trace",
+  "dim": 2,
+  "initial_points": [
+    [
+      0,
+      2
+    ],
+    [
+      3,
+      0
+    ]
+  ],
+  "steps": [
+    {
+      "axis": 1,
+      "boundary_before": 16,
+      "boundary_after": 16,
+      "potential_before": [
+        13,
+        -5
+      ],
+      "potential_after": [
+        4,
+        -2
+      ]
+    },
+    {
+      "axis": 2,
+      "boundary_before": 16,
+      "boundary_after": 14,
+      "potential_before": [
+        4,
+        -2
+      ],
+      "potential_after": [
+        1,
+        -1
+      ]
+    }
+  ],
+  "final_points": [
+    [
+      0,
+      0
+    ],
+    [
+      0,
+      1
+    ]
+  ]
+}
+"""
+
+# compress_to_fixed_point of the empty set in Z^2
+EMPTY_TRACE_REPORT = """\
+{
+  "schema": "kinglattice.report/1",
+  "kind": "compression_trace",
+  "dim": 2,
+  "initial_points": [],
+  "steps": [],
+  "final_points": []
+}
+"""
+
+# edge_boundary_formula of {(0,), (2,)}, with direct_total=4
+BREAKDOWN_REPORT = """\
+{
+  "schema": "kinglattice.report/1",
+  "kind": "boundary_breakdown",
+  "dim": 1,
+  "per_direction": [
+    {
+      "direction": [
+        -1
+      ],
+      "lines": 1,
+      "gaps": 1
+    },
+    {
+      "direction": [
+        1
+      ],
+      "lines": 1,
+      "gaps": 1
+    }
+  ],
+  "total": 4,
+  "direct_total": 4,
+  "agree": true
+}
+"""
+
+# survey_gap_free_optima(1, 2)
+SURVEY_REPORT = """\
+{
+  "schema": "kinglattice.report/1",
+  "kind": "survey",
+  "rows": [
+    {
+      "schema": "kinglattice.report/1",
+      "kind": "search_report",
+      "dimension": 1,
+      "size": 1,
+      "min_edge_boundary": 2,
+      "method": "exhaustive",
+      "optimal": true,
+      "sets_scanned": 1,
+      "any_witness_gap_free": true,
+      "all_witnesses_gap_free": true,
+      "witnesses": [
+        {
+          "points": [
+            [
+              0
+            ]
+          ],
+          "exterior_vertex_boundary": 2,
+          "fully_gap_free": true
+        }
+      ]
+    },
+    {
+      "schema": "kinglattice.report/1",
+      "kind": "search_report",
+      "dimension": 1,
+      "size": 2,
+      "min_edge_boundary": 2,
+      "method": "exhaustive",
+      "optimal": true,
+      "sets_scanned": 1,
+      "any_witness_gap_free": true,
+      "all_witnesses_gap_free": true,
+      "witnesses": [
+        {
+          "points": [
+            [
+              0
+            ],
+            [
+              1
+            ]
+          ],
+          "exterior_vertex_boundary": 2,
+          "fully_gap_free": true
+        }
+      ]
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "make, direct_total, text",
+    [
+        (lambda: compress_to_fixed_point(PointSet.of([(0, 2), (3, 0)])), None, TRACE_REPORT),
+        (lambda: compress_to_fixed_point(PointSet(2)), None, EMPTY_TRACE_REPORT),
+        (lambda: edge_boundary_formula(PointSet.of([(0,), (2,)])), 4, BREAKDOWN_REPORT),
+        (lambda: survey_gap_free_optima(1, 2), None, SURVEY_REPORT),
+    ],
+    ids=["trace", "empty-trace", "breakdown", "survey"],
+)
+def test_report_writer_reproduces_golden_bytes(make, direct_total, text):
+    assert serialize_report(make(), direct_total=direct_total) == text
+
+
+def test_method_with_a_held_looking_line_round_trips():
+    # a method string holding the line the writer splices stays a string: the
+    # encoder escapes its newlines and quotes, so no line of the text matches
+    r = dataclasses.replace(
+        min_edge_boundary(2, 2), method='heuristic\n      "points": null,\n'
+    )
+    text = serialize_report(r)
+    assert text.count('"points": [') == len(r.witnesses)
+    assert parse_report(text) == r
+
+
+def test_writer_refuses_to_leave_a_point_set_null(monkeypatch):
+    monkeypatch.setattr(kinglattice.formats, "_HELD_LINE", re.compile("(?!)"))
+    with pytest.raises(RuntimeError, match="spliced 0 of 2 held point lists"):
+        serialize_report(compress_to_fixed_point(PointSet.of([(0,)])))
 
 
 def test_parse_report_rejects_bad_documents():

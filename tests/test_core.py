@@ -155,6 +155,35 @@ def test_pointset_of_empty_requires_dim():
     assert len(PointSet.of([], dim=3)) == 0
 
 
+class _Index:
+    """An integer type that is not an int, as numpy's integers are."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+
+@pytest.mark.parametrize("bad", [0.2, 0.7, 1.5, 2.0, "1", None])
+def test_pointset_of_and_translate_refuse_non_integers(bad):
+    # int() would truncate 0.2 and 0.7 to the same point, and a float offset
+    # would leave float points that the boundary routes cannot step from
+    with pytest.raises(ValueError, match=f"non-integer coordinate {bad!r}"):
+        PointSet.of([(0, 0), (bad, 0)])
+    with pytest.raises(ValueError, match=f"non-integer coordinate {bad!r}"):
+        PointSet.of([(0, 0)]).translate((bad, 0))
+
+
+def test_pointset_of_and_translate_take_any_integer_type():
+    ps = PointSet.of([(_Index(2), True), (False, -1)])
+    assert ps.points == frozenset({(2, 1), (0, -1)})
+    assert all(type(c) is int for p in ps.points for c in p)
+    moved = ps.translate((_Index(-2), True))
+    assert moved.points == frozenset({(0, 2), (-2, 0)})
+    assert all(type(c) is int for p in moved.points for c in p)
+
+
 def test_pointset_iterates_sorted():
     ps = PointSet.of([(3, 1), (0, 5), (3, 0)])
     assert list(ps) == [(0, 5), (3, 0), (3, 1)]

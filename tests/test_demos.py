@@ -6,7 +6,8 @@ import pytest
 
 from conftest import subprocess_env
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
@@ -19,3 +20,17 @@ def test_demo_runs(script):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_tour_runs_as_written():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick tour\n\n```python\n", 1)[1].split("```", 1)[0]
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", block],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "36" in done.stdout.splitlines()

@@ -47,6 +47,10 @@ def parse_point_set(text: str | bytes) -> PointSet:
         if not line:
             continue
         tokens = line.replace(",", " ").split()
+        if not line.isascii() or "_" in line:
+            # int() would read "1_0" as 10 and a non-ASCII digit such as "٣" as 3
+            kind = "dimension" if tokens[0] == "dim" else "coordinate"
+            raise ParseError(f"line {lineno}: non-integer {kind} in {line!r}")
         if tokens[0] == "dim":
             if dim is not None:
                 raise ParseError(f"line {lineno}: dim header must come first")

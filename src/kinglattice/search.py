@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from bisect import bisect_left
 from itertools import chain, repeat
 from operator import add
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import Point, PointSet, _check_dimension, _closed_steps
 from .boundary import (
@@ -36,7 +36,6 @@ DEFAULT_MAX_SETS = 1_000_000
 # No cap lets a walk or a search of that many sets finish, so larger sizes are
 # refused at any cap, before any layer is built.
 MAX_SIZE = 405
-_State = tuple[int, ...]
 
 
 class EnumerationOverflowError(ValueError):
@@ -83,18 +82,21 @@ class _LayerChain:
     The walk and both DPs step from a layer B, r points left after it, to
     each layer C ⊆ B with |C| <= r, and ``steps`` finds those C in a pool:
     the steps of the state that reached B, or every layer for a first one.
-    A state (A, B, r) reached from (X, A, r') has B ⊆ A and r = r' - |B| <
-    r', so every layer inside B with at most r points is among A's steps.
-    So a state's steps do not depend on which parent reached it first, and
-    the DP memo keys hold no pool.
+    A state (B, r) reached from (A, r') has B ⊆ A and r = r' - |B| < r', so
+    every layer inside B with at most r points is among A's steps.  So a
+    state's steps do not depend on which parent reached it first, and the
+    memo keys hold no pool.
 
     Layers at adjacent heights are (L1, L2), (L1, L3) and (L_m, L_(m+2)) for
     m >= 2, so S's inside edges E_int(S) are the sum of E(L_m), the edges
     inside each layer, and of cross(A, C) = sum over c in C of |N[c] ∩ A|
     over those pairs, N[c] being c's closed king neighbourhood in Z^(n-1).
     With a virtual L0 = L1 every step has the same form: after layers A and
-    B, with r points left, the next layer C ⊆ B scores E(C) + cross(A, C).
-    E and cross grow along the removals: E(L) = E(L - {p}) + |N(p) ∩ L| and
+    B, with r points left, the next layer C ⊆ B scores E(C) + cross(A, C),
+    and only cross reads A.  So the DP keeps each state's steps C with their
+    gains E(C) + f(B, C, r - |C|), and f(A, B, r), the most edges r more
+    points add after A and B, is the largest cross(A, C) + gain.  E and
+    cross grow along the removals: E(L) = E(L - {p}) + |N(p) ∩ L| and
     cross(A, C) = cross(A, C - {p}) + |N[p] ∩ A|, so N[p] is built only for
     the points p that layers gain.  ``walk`` is the one place that stacks a
     chain into its set in Z^n.
@@ -113,7 +115,7 @@ class _LayerChain:
         self._closed: dict[Point, tuple[Point, ...]] = {}  # N[p] for p gained
         self._cross: dict[tuple[int, int], int] = {}
         self._count: dict[tuple[int, int], int] = {}
-        self._best: dict[tuple[int, int, int], int] = {}
+        self._gains: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
 
     def family(self, s: int) -> range:
         """Ids of the size-s layers; raises EnumerationOverflowError past the cap."""
@@ -181,45 +183,41 @@ class _LayerChain:
         return [c for c in pool[:cut] if inside(points[c])]
 
     def _post_order(
-        self, memo: dict[_State, int], root: _State
-    ) -> Iterator[tuple[_State, list[_State]]]:
+        self, memo: Container[tuple[int, int]], root: tuple[int, int]
+    ) -> Iterator[tuple[tuple[int, int], list[int]]]:
         """Yield ``root`` and the states it needs that ``memo`` lacks, children first.
 
-        A state ends in a layer B and its points left r; states with none
-        left are leaves.  Each step C from B gives the child state[1:-1] +
-        (C, r - |C|): (C, r - |C|) for a state (B, r), (B, C, r - |C|) for
-        (A, B, r).  The steps are drawn from the pool on the state's stack
-        entry: every layer for the root, the parent's steps for the rest.
-        Each state comes with its children, all in ``memo`` by then except
-        the leaves, which the caller values itself; the caller stores the
-        state's value in ``memo`` before asking for the next.  An explicit
-        stack replaces recursion, so a chain of any length, such as the k
-        one-point layers of a segment in Z^1, uses no Python frames.
-        Children have fewer points left, so no cycles.
+        A state is a layer B and its points left r; states with none left
+        are leaves.  Each step C from B, drawn from the pool on the state's
+        stack entry (every layer for the root, the parent's steps for the
+        rest), gives the child (C, r - |C|).  Each state comes with its steps
+        once all its children but the leaves, which the caller values itself,
+        are in ``memo``; the caller stores the state's value there before
+        asking for the next.  An explicit stack replaces recursion, so a chain
+        of any length, such as the k one-point layers of a segment in Z^1,
+        uses no Python frames.  Children have fewer points left, so no cycles.
         """
         size = self.size
         todo = [(root, range(len(self.points)), None)]
         while todo:
-            state, pool, children = todo[-1]
+            state, pool, subs = todo[-1]
             if state in memo:  # pushed again before it was settled
                 todo.pop()
                 continue
-            if children is None:
-                r = state[-1]
-                subs = self.steps(state[-2], r, pool)
-                children = [(*state[1:-1], c, r - size[c]) for c in subs]
-                missing = [
-                    (kid, subs, None) for kid in children if kid[-1] and kid not in memo
-                ]
+            if subs is None:
+                b, r = state
+                subs = self.steps(b, r, pool)
+                kids = ((c, r - size[c]) for c in subs if r > size[c])
+                missing = [(kid, subs, None) for kid in kids if kid not in memo]
                 if missing:
-                    todo[-1] = (state, pool, children)
+                    todo[-1] = (state, pool, subs)
                     todo.extend(missing)
                     continue
             todo.pop()
-            yield state, children
+            yield state, subs
 
     def walk(
-        self, k: int, firsts: Iterable[int], keep: Callable[..., bool] | None = None
+        self, k: int, firsts: Iterable[int], keep: Callable[..., list] | None = None
     ) -> Iterator[frozenset[Point]]:
         """Each set in Z^n stacked from a chain of layers with k points in
         all, first layer from ``firsts``.
@@ -228,10 +226,10 @@ class _LayerChain:
         through the stack meets exactly the layers holding its column, so
         sections along the last axis are centered runs iff the layers nest.
         Depth first on an explicit stack; a lazy ``firsts`` builds no layer
-        family before the walk reaches it.  The step from layers A and B, r
-        points left, to C, t left, is taken iff ``keep(A, B, r, C, t)``, if
-        given.  A layer on the walk's path is lifted to its height once, when
-        the walk reaches it, and every set below it reuses those points.
+        family before the walk reaches it.  From layers A and B with r points
+        left it takes the steps ``keep(A, B, r)`` lists, if given, or all.  A
+        layer on the walk's path is lifted to its height once, when the walk
+        reaches it, and every set below it reuses those points.
         """
         points, size, starts = self.points, self.size, self._starts
         # rises[m] repeats the (y,) that lifts a layer at depth m + 1 to height y
@@ -248,15 +246,14 @@ class _LayerChain:
                 if r == 0:
                     yield frozenset(chain.from_iterable(lifted))
                     continue
-                if a != b or not depth:
+                if keep is not None:
+                    subs = keep(a, b, r)
+                elif a != b or not depth:
                     subs = self.steps(b, r, pool)
                 else:  # the pool is a's steps, all inside b = a
                     subs = pool[: bisect_left(pool, starts[min(r, size[b])])]
-                nexts = subs
-                if keep is not None:
-                    nexts = [c for c in subs if keep(a, b, r, c, r - size[c])]
                 todo.extend(
-                    zip(repeat(depth + 1), repeat(b), nexts, repeat(r), repeat(subs))
+                    zip(repeat(depth + 1), repeat(b), subs, repeat(r), repeat(subs))
                 )
 
     def count(self, b: int, r: int) -> int:
@@ -264,11 +261,11 @@ class _LayerChain:
 
         g(B, r) = [r = 0] + sum of g(C, r - |C|) over the steps from B.
         """
-        memo = self._count
+        memo, size = self._count, self.size
         root = (b, r)
-        for state, steps in self._post_order(memo, root):
-            ways = (state[1] == 0) + sum(memo[c, t] if t else 1 for c, t in steps)
-            memo[state] = min(ways, self.cap + 1)
+        for (b, r), steps in self._post_order(memo, root):
+            ways = sum(memo[c, r - size[c]] if r > size[c] else 1 for c in steps)
+            memo[b, r] = min(ways + (r == 0), self.cap + 1)
         return memo[root]
 
     def family_size(self, k: int) -> int:
@@ -281,19 +278,20 @@ class _LayerChain:
                     raise EnumerationOverflowError
         return total
 
-    def best(self, a: int, b: int, r: int) -> int:
-        """f(A, B, r): the most edges r more points add after layers A and B."""
-        memo = self._best
-        root = (a, b, r)
-        for state, nexts in self._post_order(memo, root):
-            # the gain is written out, as in on_best, not shared by a method:
-            # one more call per transition slowed the DP by about a quarter
-            gains = (
-                self.edges[c] + self.cross(state[0], c) + (memo[b, c, t] if t else 0)
-                for b, c, t in nexts
-            )
-            memo[state] = max(gains, default=0)
+    def gains(self, b: int, r: int) -> tuple[list[int], list[int]]:
+        """The steps C from (b, r), ascending, and each E(C) + f(B, C, r - |C|)."""
+        memo, size, edges, best = self._gains, self.size, self.edges, self.best
+        root = (b, r)
+        for (b, r), steps in self._post_order(memo, root):
+            memo[b, r] = steps, [
+                edges[c] + (best(b, *memo[c, r - size[c]]) if r > size[c] else 0)
+                for c in steps
+            ]
         return memo[root]
+
+    def best(self, a: int, steps: list[int], gains: list[int]) -> int:
+        """f(A, B, r) from (B, r)'s steps and gains: max of cross(A, C) + gain."""
+        return max(map(add, map(self.cross, repeat(a), steps), gains), default=0)
 
     def optimal_sets(self, k: int) -> tuple[int, list[frozenset[Point]]]:
         """The largest E_int over the size-k family, and every set reaching it.
@@ -301,15 +299,16 @@ class _LayerChain:
         The sets are the ones ``walk`` stacks from the tops while it takes
         only the steps that keep to the optimum.
         """
-        firsts = {  # ids ascend with size, so these are all layers of at most k
-            a: self.edges[a] + self.best(a, a, k - self.size[a])
-            for a in range(self.family(k).stop)
-        }
+        firsts = {}  # ids ascend with size, so these are all layers of at most k
+        for a in range(self.family(k).stop):
+            r = k - self.size[a]
+            firsts[a] = self.edges[a] + (self.best(a, *self.gains(a, r)) if r else 0)
         most = max(firsts.values())
 
-        def on_best(a: int, b: int, r: int, c: int, t: int) -> bool:
-            gain = self.edges[c] + self.cross(a, c) + self.best(b, c, t)
-            return gain == self.best(a, b, r)
+        def on_best(a: int, b: int, r: int) -> list[int]:
+            steps, gains = self._gains[b, r]
+            top = self.best(a, steps, gains)
+            return [c for c, g in zip(steps, gains) if self.cross(a, c) + g == top]
 
         tops = [a for a, e in firsts.items() if e == most]
         return most, list(self.walk(k, tops, on_best))

@@ -67,6 +67,27 @@ def test_parse_drops_one_leading_byte_order_mark():
             parse_point_set(later)
 
 
+def test_parse_refuses_underscores_and_non_ascii_digits(tmp_path, capsys):
+    # int() alone would read "1_0" as 10 and the Arabic-Indic "٣" as 3
+    for text, where in (
+        ("1_0 2\n", "line 1: non-integer coordinate"),
+        ("0 0\n\u0663 2\n", "line 2: non-integer coordinate"),
+        ("0 0\n1\u00a02\n", "line 2: non-integer coordinate"),
+        ("dim 0_2\n0 0\n", "line 1: non-integer dimension"),
+        ("# dim \u0663\ndim \u0662\n", "line 2: non-integer dimension"),
+    ):
+        with pytest.raises(ParseError, match=where):
+            parse_point_set(text)
+        f = tmp_path / "bad.pts"
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "boundary", "--input", str(f))
+        assert (code, out) == (1, "")
+        assert where in err
+    # comments may hold anything, and signs stay allowed
+    text = "# \u0663_\u00e9\n-1, +2  # \u0663\n"
+    assert parse_point_set(text).points == frozenset({(-1, 2)})
+
+
 def test_parse_duplicate_reports_line():
     with pytest.raises(ParseError, match="line 2"):
         parse_point_set("0 0\n0 0\n")

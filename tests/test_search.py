@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import operator
 import random
@@ -154,6 +155,25 @@ def test_count_cap_is_the_enumeration_cap():
         min_edge_boundary(3, 12, max_sets=size - 1)
 
 
+def test_layer_families_past_the_cap_are_refused(capsys):
+    # at (3, 2) the one 1-point layer fits a cap of 1, but the two 2-point
+    # planar layers pass it while they are built, before any chain is counted
+    with pytest.raises(EnumerationOverflowError):
+        kinglattice.search._LayerChain(3, 1).family(2)
+    message = "more than 1 compressed sets for n=3, k=2; raise the cap"
+    for entry in (count_compressed_sets, min_edge_boundary, survey_gap_free_optima):
+        with pytest.raises(EnumerationOverflowError, match=message):
+            entry(3, 2, max_sets=1)
+    yielded = []
+    with pytest.raises(EnumerationOverflowError, match=message):
+        for ps in enumerate_compressed_sets(3, 2, max_sets=1):
+            yielded.append(ps)
+    assert len(yielded) <= 1
+    argv = ["search", "--dim", "3", "--size", "2", "--max-sets", "1"]
+    assert kinglattice.cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_caps_past_sys_maxsize_are_accepted(capsys):
     # the cap is compared with counts, never used as an index or a length
     huge = 10**20
@@ -221,10 +241,10 @@ def test_layer_families_equal_segments_and_partitions():
 
 
 def reference_layer_dp(chain):
-    """count(B, r) and best(A, B, r) over ``chain``'s layers, by memoised
-    recursion whose steps come from a subset test over every layer built,
-    with E and cross recounted from king steps rather than read from the
-    chain's tables."""
+    """count(B, r), the steps nexts(B, r), E(C) and best(A, B, r) over
+    ``chain``'s layers, by memoised recursion whose steps come from a subset
+    test over every layer built, with E and cross recounted from king steps
+    rather than read from the chain's tables."""
     points, size = chain.points, chain.size
     (origin,) = points[0]
     steps = list(itertools.product((-1, 0, 1), repeat=len(origin)))
@@ -258,24 +278,45 @@ def reference_layer_dp(chain):
             default=0,
         )
 
-    return count, best
+    return count, nexts, edges, best
 
 
 @pytest.mark.parametrize("n,k_max", [(3, 16), (4, 12)])
 def test_pooled_dp_equals_full_range_reference(n, k_max):
     # each DP state draws its steps from the steps of the state that reached
-    # it; a recursion that draws them from every layer must settle the same
-    # values, whichever parent reached a state first
+    # it; a recursion that draws them from every layer must find the same
+    # steps and settle the same values, whichever parent reached a state first
     chain = kinglattice.search._LayerChain(n, 10**6)
     for k in range(1, k_max + 1):
         chain.family_size(k)
         chain.optimal_sets(k)
-    count, best = reference_layer_dp(chain)
-    assert len(chain._count) > 1000 and len(chain._best) > 1000
+    count, nexts, edges, best = reference_layer_dp(chain)
+    assert len(chain._count) > 1000 and len(chain._gains) > 1000
     for (b, r), ways in chain._count.items():
         assert ways == count(b, r), (b, r)
-    for (a, b, r), gain in chain._best.items():
-        assert gain == best(a, b, r), (a, b, r)
+    for (b, r), (steps, gains) in chain._gains.items():
+        assert steps == nexts(b, r), (b, r)
+        expected = [edges(c) + best(b, c, r - chain.size[c]) for c in steps]
+        assert gains == expected, (b, r)
+
+
+def test_each_dp_state_finds_its_steps_once(monkeypatch):
+    # both DPs are keyed by (layer, points left), so each new memo entry costs
+    # one subset scan and no entry is scanned again from another parent
+    chain = kinglattice.search._LayerChain(3, 10**6)
+    calls = []
+    real = chain.steps
+
+    def counted(b, r, pool):
+        calls.append((b, r))
+        return real(b, r, pool)
+
+    monkeypatch.setattr(chain, "steps", counted)
+    chain.family_size(16)
+    assert len(calls) == len(chain._count) > 500
+    calls.clear()
+    chain.optimal_sets(16)
+    assert len(calls) == len(chain._gains) > 500
 
 
 def test_enumerate_contains_the_centered_2x2_box():
@@ -596,6 +637,33 @@ def test_frontier_search_reproduces_frozen_minima(n, k, minimum, witnesses):
     r = min_edge_boundary(n, k, max_sets=10**9)
     assert r.min_edge_boundary == minimum
     assert len(r.witnesses) == witnesses
+
+
+# SHA-256 of `search --dim n --size k --max-sets 100000000000 --format json`,
+# which pins the witnesses and their order, not only the minimum and the
+# witness count.  After a change meant to alter that output, regenerate a
+# hash with that command piped to sha256sum.
+FRONTIER_REPORT_SHA256 = {
+    (3, 24): "2fb08a60eff3ca530c9f9557edc224793a7b5d21b76bf538a72e676b8059d0f7",
+    (2, 100): "2beafee1890ebbb39b3b014b6c1a1b2af779d65e895da8f1452d5283d1767bfb",
+    (4, 18): "2c82348d50bf32aa7f81b142362deedb736284c0de4d6b0ede474453b9807625",
+}
+
+
+@pytest.mark.parametrize(
+    "n,k",
+    [
+        (3, 24),
+        pytest.param(2, 100, marks=pytest.mark.slow),
+        pytest.param(4, 18, marks=pytest.mark.slow),
+    ],
+)
+def test_frontier_reports_are_byte_identical(capsys, n, k):
+    argv = ["search", "--dim", str(n), "--size", str(k), "--max-sets", str(10**11)]
+    assert kinglattice.cli.main([*argv, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == FRONTIER_REPORT_SHA256[n, k]
 
 
 def test_search_memory_stays_under_its_ceiling():

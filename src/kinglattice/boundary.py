@@ -93,8 +93,14 @@ def gap_set(ps: PointSet, d: Direction) -> frozenset[Point]:
     between a section's extremes, so only consecutive position pairs with a
     jump of at least 2 contribute.
     """
+    return _gap_points(_line_positions(ps, d), d)
+
+
+def _gap_points(classes: dict[Point, list[int]], d: Direction) -> frozenset[Point]:
+    """``gap_set`` along d from the set's lines along d, as ``_line_classes``
+    gives them: bases to unsorted positions, which are sorted in place."""
     out: set[Point] = set()
-    for base, ts in _line_positions(ps, d).items():
+    for base, ts in classes.items():
         ts.sort()
         for a, b in zip(ts, ts[1:]):
             if b - a >= 2:

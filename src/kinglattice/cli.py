@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import groupby
+from operator import itemgetter
 from typing import Sequence
 
-from .core import PointSet, _direction_pairs
-from .boundary import edge_boundary_count, edge_boundary_formula, gap_set
+from .core import PointSet, _columns, _direction_pairs, _line_classes, _line_table
+from .boundary import _gap_points, edge_boundary_count, edge_boundary_formula
 from .compression import compress_to_fixed_point
 from .formats import (
     parse_point_set,
@@ -119,8 +121,10 @@ def _cmd_render(args: argparse.Namespace) -> None:
 def _cmd_selftest(args: argparse.Namespace) -> None:
     """Check the two boundary computations against each other on random sets.
 
-    Also checks gap symmetry under direction reversal on every set.  Any
-    mismatch is an internal invariant violation.
+    Also checks gap symmetry under direction reversal on every set: the
+    gaps along d and along -d are found separately, from one line table per
+    first nonzero axis, as ``edge_boundary_formula`` reads it.  Any mismatch
+    is an internal invariant violation.
     """
     if args.sets < 0:
         raise ValueError(f"--sets must be >= 0, got {args.sets}")
@@ -141,13 +145,18 @@ def _cmd_selftest(args: argparse.Namespace) -> None:
                 f"direct={direct} formula={total}",
                 file=sys.stderr,
             )
-        for d, reverse, _ in _direction_pairs(dim):
-            if len(gap_set(ps, d)) != len(gap_set(ps, reverse)):
-                failures += 1
-                print(
-                    f"GAP ASYMMETRY dim={dim} k={k} trial={trial} d={d}",
-                    file=sys.stderr,
-                )
+        columns = _columns(ps)
+        for j, pairs in groupby(_direction_pairs(dim), itemgetter(2)):
+            table = _line_table(columns, j)
+            for d, reverse, _ in pairs:
+                ahead = _gap_points(_line_classes(table, d, j), d)
+                back = _gap_points(_line_classes(table, reverse, j), reverse)
+                if len(ahead) != len(back):
+                    failures += 1
+                    print(
+                        f"GAP ASYMMETRY dim={dim} k={k} trial={trial} d={d}",
+                        file=sys.stderr,
+                    )
     print(f"{args.sets} random sets checked, {failures} failures")
     if failures:
         raise RuntimeError(f"selftest found {failures} failures")

@@ -5,9 +5,11 @@ breakdowns, search reports and surveys round-trip through serialize_report
 and parse_report; compression traces are written only.
 
 A report's text is ``json.dumps(doc, indent=2)``'s.  With an indent,
-json.dumps runs the pure-Python encoder, so the writer holds each point set
-back as a null and splices in its sorted points, the bulk of a large report,
-as written by the C encoder and laid out by ``str.replace`` (``_rows_text``).
+json.dumps runs the pure-Python encoder, so the writer holds back the bulk
+of a large report as nulls and splices in text written without it: each
+point set's sorted points, written by the C encoder and laid out by
+``str.replace`` (``_rows_text``), and a breakdown's 3^n - 1 direction
+entries, each filled into one text template (``_entries_text``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import re
 from typing import Any, Sequence
 
-from .core import Point, PointSet, directions
+from .core import Direction, PointSet, directions
 from .boundary import BoundaryBreakdown, exterior_vertices
 from .compression import CompressionTrace
 from .search import SearchReport, WitnessStats
@@ -93,10 +95,7 @@ def _breakdown_dict(b: BoundaryBreakdown, direct_total: int | None) -> dict[str,
         "schema": SCHEMA,
         "kind": "boundary_breakdown",
         "dim": b.dim,
-        "per_direction": [
-            {"direction": list(d), "lines": lines, "gaps": gaps}
-            for d, (lines, gaps) in sorted(b.per_direction.items())
-        ],
+        "per_direction": b,  # held: its entries are written by _entries_text
         "total": b.total,
     }
     if direct_total is not None:
@@ -152,7 +151,8 @@ def _document(
     r: SearchReport | BoundaryBreakdown | CompressionTrace | list[SearchReport],
     direct_total: int | None,
 ) -> dict[str, Any]:
-    """The report document, each point list still a PointSet."""
+    """The report document, each point list still a PointSet and a
+    breakdown's entries still the breakdown."""
     if isinstance(r, BoundaryBreakdown):
         return _breakdown_dict(r, direct_total)
     if isinstance(r, SearchReport):
@@ -164,10 +164,12 @@ def _document(
     raise TypeError(f"cannot serialize {type(r).__name__}")
 
 
-# The line json.dumps(indent=2) writes for a held point set.  Only these keys
-# hold point sets, and the encoder escapes newlines in strings, so no string
-# value can start such a line.
-_HELD_LINE = re.compile(r'^( *)("(?:initial_|final_)?points": )null(,?)$', re.MULTILINE)
+# The line json.dumps(indent=2) writes for a held value.  Only these keys
+# hold point sets or a breakdown, and the encoder escapes newlines in
+# strings, so no string value can start such a line.
+_HELD_LINE = re.compile(
+    r'^( *)("(?:(?:initial_|final_)?points|per_direction)": )null(,?)$', re.MULTILINE
+)
 
 
 def serialize_report(
@@ -182,22 +184,42 @@ def serialize_report(
     A list of search reports becomes a survey document.  A compression trace
     is written but never parsed back.
     """
-    held: list[list[Point]] = []
-
-    def hold(ps: PointSet) -> None:
-        held.append(sorted(ps.points))
-
+    held: list[PointSet | BoundaryBreakdown] = []  # in document order
     text = json.dumps(
-        _document(r, direct_total), indent=2, default=hold, check_circular=False
+        _document(r, direct_total), indent=2, default=held.append, check_circular=False
     )
-    if held:  # a breakdown holds none, and its text runs to megabytes in Z^10
-        rows = iter(held)
-        text, spliced = _HELD_LINE.subn(
-            lambda m: m[1] + m[2] + _rows_text(next(rows), m[1]) + m[3], text
-        )
-        if spliced != len(held):
-            raise RuntimeError(f"spliced {spliced} of {len(held)} held point lists")
+    values = iter(held)
+    text, spliced = _HELD_LINE.subn(
+        lambda m: m[1] + m[2] + _held_text(next(values), m[1]) + m[3], text
+    )
+    if spliced != len(held):
+        raise RuntimeError(f"spliced {spliced} of {len(held)} held point lists")
     return text + "\n"
+
+
+def _held_text(value: PointSet | BoundaryBreakdown, indent: str) -> str:
+    if isinstance(value, BoundaryBreakdown):
+        return _entries_text(value.per_direction, indent)
+    return _rows_text(sorted(value.points), indent)
+
+
+def _entries_text(per_direction: dict[Direction, tuple[int, int]], indent: str) -> str:
+    """``json.dumps`` with indent=2, nested at indent, of a breakdown's
+    entries {"direction": [...], "lines": ..., "gaps": ...}, sorted by
+    direction.  Every entry fills one template, coordinates joined by the
+    line break json.dumps puts between them; no dimension has zero
+    directions, so the list is never empty."""
+    inner = indent + "    "
+    entry = (
+        f'{indent}  {{\n{inner}"direction": [\n{inner}  %s\n{inner}],\n'
+        f'{inner}"lines": %d,\n{inner}"gaps": %d\n{indent}  }}'
+    )
+    item = ",\n" + inner + "  "
+    entries = [
+        entry % (item.join(map(str, d)), lines, gaps)
+        for d, (lines, gaps) in sorted(per_direction.items())
+    ]
+    return "[\n" + ",\n".join(entries) + "\n" + indent + "]"
 
 
 def _rows_text(rows: Sequence[Sequence[int]], indent: str) -> str:

@@ -69,6 +69,10 @@ def _overflow(n: int, k: int, max_sets: int) -> EnumerationOverflowError:
     )
 
 
+# a layer's id, its points and the points minimal outside it
+_Fringe = tuple[int, tuple[Point, ...], list[Point]]
+
+
 class _LayerChain:
     """Tables for walks and a DP over nested chains of (n-1)-dimensional layers.
 
@@ -97,22 +101,36 @@ class _LayerChain:
     gains E(C) + f(B, C, r - |C|), and f(A, B, r), the most edges r more
     points add after A and B, is the largest cross(A, C) + gain.  E and
     cross grow along the removals: E(L) = E(L - {p}) + |N(p) ∩ L| and
-    cross(A, C) = cross(A, C - {p}) + |N[p] ∩ A|, so N[p] is built only for
-    the points p that layers gain.  ``walk`` is the one place that stacks a
-    chain into its set in Z^n.
+    cross(A, C) = cross(A, C - {p}) + |N[p] ∩ A|.  ``walk`` is the one
+    place that stacks a chain into its set in Z^n.
+
+    Layers are bit masks over a table of cells.  Each point of Z^(n-1) gets
+    the next cell number i, and the bit 1 << i, the first time a layer
+    gains it, so a layer's mask is its parent's in ``removal`` with p's bit
+    set, and C ⊆ B is ``not masks[c] & ~masks[b]``.  Each layer also keeps
+    its points as a tuple, its parent's plus p, for ``walk`` to lift.
+    ``closed[i]`` is the mask of N[p] among the numbered cells: numbering a
+    cell ORs its bit into the closed masks of its numbered neighbours, and
+    theirs into its own.  So closed[i] always holds N[p] ∩ (numbered
+    cells), even for a neighbour numbered after p, and as every point of a
+    built layer A is numbered, |N[p] ∩ A| is (masks[a] & closed[i]).bit_count()
+    whenever E or cross asks.  Only the points that layers gain are numbered,
+    and the up-steps tested for minimality are not.
     """
 
     def __init__(self, n: int, cap: int) -> None:
         self.cap = cap
-        self.points: list[frozenset[Point]] = []
+        self.points: list[tuple[Point, ...]] = []
+        self.masks: list[int] = []
         self.size: list[int] = []
         self.edges: list[int] = []
-        self.removal: list[tuple[int, Point]] = []  # one (id of L - {p}, p); -1 is {}
+        self.removal: list[tuple[int, int]] = []  # (id of L - {p}, p's cell); -1 is {}
         self._starts = [0]  # ids of size s are range(_starts[s - 1], _starts[s])
-        # each layer of the largest size built, with the points minimal outside it
-        self._fringe = {-1: (frozenset(), [(0,) * (n - 1)])}
+        self._bits: dict[Point, int] = {}  # each numbered cell p: 1 << its number
+        self.closed: list[int] = []  # by cell number: the mask of N[p]
+        # each layer of the largest size built, by mask; id -1 is {}
+        self._fringe: dict[int, _Fringe] = {0: (-1, (), [(0,) * (n - 1)])}
         self._nears: dict[Point, tuple[tuple[Point, ...], ...]] = {}
-        self._closed: dict[Point, tuple[Point, ...]] = {}  # N[p] for p gained
         self._cross: dict[tuple[int, int], int] = {}
         self._count: dict[tuple[int, int], int] = {}
         self._gains: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
@@ -124,30 +142,46 @@ class _LayerChain:
         return range(self._starts[s - 1], self._starts[s])
 
     def _add_size(self, s: int) -> None:
-        grown: dict[frozenset[Point], tuple[int, Point]] = {}  # the first removal
-        for rest, (layer, corners) in self._fringe.items():
-            for p in corners:
-                grown.setdefault(layer | {p}, (rest, p))
+        bits, closed, zeros = self._bits, self.closed, repeat(0)
+        grown: dict[int, tuple[_Fringe, Point]] = {}  # the first removal
+        for mask, parent in self._fringe.items():
+            for p in parent[2]:
+                grown.setdefault(mask | (bits.get(p) or self._number(p)), (parent, p))
                 if len(grown) > self.cap:
                     raise EnumerationOverflowError
         fringe = {}
-        for layer, (rest, p) in grown.items():
-            ups = self._near(p)[0]
-            around = self._closed.get(p)
-            if around is None:
-                table = _closed_steps(len(p))
-                around = self._closed[p] = tuple(tuple(map(add, p, d)) for d in table)
-            # p's up-steps are the only points that adding p can make minimal
-            corners = [q for q in self._fringe[rest][1] if q != p]
-            corners += [u for u in ups if layer.issuperset(self._near(u)[1])]
-            fringe[len(self.points)] = layer, corners
+        for mask, ((rest, kept, corners), p) in grown.items():
+            # p's up-steps are the only points that adding p can make minimal,
+            # and u is minimal once the layer holds each of its down-steps
+            corners = [q for q in corners if q != p]
+            for u in self._near(p)[0]:
+                if all(map(mask.__and__, map(bits.get, self._near(u)[1], zeros))):
+                    corners.append(u)
+            layer = kept + (p,)
+            fringe[mask] = len(self.points), layer, corners
+            i = bits[p].bit_length() - 1
             below = self.edges[rest] if rest >= 0 else 0
             self.points.append(layer)
+            self.masks.append(mask)
             self.size.append(s)
-            self.edges.append(below + sum(map(layer.__contains__, around)) - 1)
-            self.removal.append((rest, p))
+            self.edges.append(below + (mask & closed[i]).bit_count() - 1)
+            self.removal.append((rest, i))
         self._fringe = fringe
         self._starts.append(len(self.points))
+
+    def _number(self, q: Point) -> int:
+        """Give q the next cell number, link it into the closed masks of its
+        numbered neighbours and theirs into its own, and return its bit."""
+        bits, closed = self._bits, self.closed
+        bit = around = 1 << len(closed)
+        for d in _closed_steps(len(q)):
+            other = bits.get(tuple(map(add, q, d)))
+            if other:
+                around |= other
+                closed[other.bit_length() - 1] |= bit
+        bits[q] = bit
+        closed.append(around)
+        return bit
 
     def _near(self, q: Point) -> tuple[tuple[Point, ...], ...]:
         """q one place up the order 0 < 1 < -1 < 2 < ... on each axis, and
@@ -163,24 +197,25 @@ class _LayerChain:
 
     def cross(self, a: int, c: int) -> int:
         """cross(A, C) for layer C inside layer A, walked down C's removals."""
-        memo = self._cross
+        memo, closed, inside = self._cross, self.closed, self.masks[a]
         path = []
         while c >= 0 and (a, c) not in memo:
-            rest, p = self.removal[c]
-            path.append((c, p))
+            rest, i = self.removal[c]
+            path.append((c, i))
             c = rest
         total = memo[a, c] if c >= 0 else 0
-        for c, p in reversed(path):
-            total += sum(map(self.points[a].__contains__, self._closed[p]))
+        for c, i in reversed(path):
+            total += (inside & closed[i]).bit_count()
             memo[a, c] = total
         return total
 
     def steps(self, b: int, r: int, pool: Sequence[int]) -> list[int]:
         """Each layer C ⊆ B with |C| <= r, ascending, from a sorted ``pool``
         that holds them all."""
-        points, inside = self.points, self.points[b].issuperset
+        masks = self.masks
+        outside = ~masks[b]
         cut = bisect_left(pool, self._starts[min(r, self.size[b])])
-        return [c for c in pool[:cut] if inside(points[c])]
+        return [c for c in pool[:cut] if not masks[c] & outside]
 
     def _post_order(
         self, memo: Container[tuple[int, int]], root: tuple[int, int]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import re
@@ -197,6 +198,16 @@ def _far_witnesses(r):
     return dataclasses.replace(r, witnesses=moved)
 
 
+def written_in_full(value):
+    """A value the report writer holds back, as the document lists it."""
+    if isinstance(value, PointSet):
+        return sorted(value.points)
+    return [
+        {"direction": list(d), "lines": lines, "gaps": gaps}
+        for d, (lines, gaps) in sorted(value.per_direction.items())
+    ]
+
+
 @pytest.mark.parametrize(
     "make, direct_total",
     [
@@ -217,12 +228,12 @@ def _far_witnesses(r):
 )
 def test_report_writer_matches_the_indenting_encoder(make, direct_total):
     # the writer against the same document through json.dumps(indent=2) with
-    # every point set written in full: a breakdown with and without
-    # direct_total, searches, surveys, and traces of an empty set, far-apart
-    # points and a line
+    # every point set and breakdown written in full: a breakdown with and
+    # without direct_total, searches, surveys, and traces of an empty set,
+    # far-apart points and a line
     r = make()
     doc = kinglattice.formats._document(r, direct_total)
-    expected = json.dumps(doc, indent=2, default=lambda ps: sorted(ps.points)) + "\n"
+    expected = json.dumps(doc, indent=2, default=written_in_full) + "\n"
     assert serialize_report(r, direct_total=direct_total) == expected
 
 
@@ -445,6 +456,30 @@ SURVEY_REPORT = """\
 )
 def test_report_writer_reproduces_golden_bytes(make, direct_total, text):
     assert serialize_report(make(), direct_total=direct_total) == text
+
+
+# The 244-line breakdown of {(0, 0, 0), (2, 0, -2)} in Z^3 with direct_total,
+# pinned by SHA-256 and by its one entry with a gap, the pair along -+(1, 0, -1)
+BREAKDOWN_Z3_SHA256 = "57d50946125b8e747b4b11802216f10df4244153ffaf9062ab339f028a30e364"
+BREAKDOWN_Z3_GAP_ENTRY = """\
+    {
+      "direction": [
+        -1,
+        0,
+        1
+      ],
+      "lines": 1,
+      "gaps": 1
+    },
+"""
+
+
+def test_breakdown_writer_reproduces_golden_bytes_in_z3():
+    ps = PointSet.of([(0, 0, 0), (2, 0, -2)])
+    text = serialize_report(edge_boundary_formula(ps), direct_total=52)
+    assert hashlib.sha256(text.encode()).hexdigest() == BREAKDOWN_Z3_SHA256
+    assert BREAKDOWN_Z3_GAP_ENTRY in text
+    assert text.endswith('  "total": 52,\n  "direct_total": 52,\n  "agree": true\n}\n')
 
 
 def test_method_with_a_held_looking_line_round_trips():
@@ -891,29 +926,40 @@ def test_cli_selftest(capsys):
 
 def test_cli_selftest_checks_each_direction_pair_once(capsys, monkeypatch):
     calls = []
-    real = kinglattice.cli.gap_set
 
-    def counting(ps, d):
-        calls.append(d)
-        return real(ps, d)
+    def counted(name, record):
+        real = getattr(kinglattice.cli, name)
 
-    monkeypatch.setattr(kinglattice.cli, "gap_set", counting)
+        def call(*args):
+            calls.append(record(args))
+            return real(*args)
+
+        monkeypatch.setattr(kinglattice.cli, name, call)
+
+    counted("_gap_points", lambda args: args[1])  # the direction
+    counted("_columns", lambda args: "columns")
+    counted("_line_table", lambda args: "table")
     code, out, err = run_cli(capsys, "selftest", "--sets", "9", "--seed", "5")
     assert code == 0
-    # trial t is in dimension 1 + t % 3 and has (3^dim - 1) / 2 pairs of d, -d
-    assert len(calls) == sum(3 ** (1 + t % 3) - 1 for t in range(9))
+    calls = Counter(calls)
+    # the columns once per set, and a line table once per first nonzero axis:
+    # trial t is in dimension 1 + t % 3
+    tables = sum(1 + t % 3 for t in range(9))
+    assert (calls.pop("columns"), calls.pop("table")) == (9, tables)
+    # trial t has (3^dim - 1) / 2 pairs of d, -d
+    assert sum(calls.values()) == sum(3 ** (1 + t % 3) - 1 for t in range(9))
     # each direction of each dimension, d and -d alike, once per trial
-    assert set(Counter(calls).values()) == {3}
+    assert set(calls.values()) == {3}
 
 
 def test_cli_selftest_still_catches_gap_asymmetry(capsys, monkeypatch):
-    real = kinglattice.cli.gap_set
+    real = kinglattice.cli._gap_points
 
-    def lopsided(ps, d):
+    def lopsided(classes, d):
         first = next(s for s in d if s)
-        return real(ps, d) | {("extra",)} if first == -1 else real(ps, d)
+        return real(classes, d) | {("extra",)} if first == -1 else real(classes, d)
 
-    monkeypatch.setattr(kinglattice.cli, "gap_set", lopsided)
+    monkeypatch.setattr(kinglattice.cli, "_gap_points", lopsided)
     code, out, err = run_cli(capsys, "selftest", "--sets", "3", "--seed", "5")
     assert code == 2
     assert "3 random sets checked, " in out

@@ -215,14 +215,38 @@ def test_survey_refuses_a_bad_cap_before_any_search(monkeypatch):
 
 
 def test_neighbourhoods_are_built_only_for_layer_points():
-    # E and cross read N[p] only for the points p that layers gain; the
-    # up-steps tested for minimality need no neighbourhood
+    # E and cross read N[p]'s mask only for the cells that layers gain; the
+    # up-steps tested for minimality are not numbered and have no mask
     chain = kinglattice.search._LayerChain(12, 10**6)
     chain.family(1)
-    assert list(chain._closed) == [(0,) * 11]
+    assert chain._bits == {(0,) * 11: 1} and chain.closed == [1]
     chain = kinglattice.search._LayerChain(3, 10**6)
     chain.optimal_sets(10)  # every layer of up to 10 points, the DP's cross too
-    assert chain._closed and set(chain._closed) <= set().union(*chain.points)
+    assert len(chain.closed) == len(chain._bits) > 1
+    assert sorted(chain._bits.values()) == [1 << i for i in range(len(chain.closed))]
+    assert set(chain._bits) == set().union(*chain.points)
+
+
+@pytest.mark.parametrize("n,k", [(3, 12), (4, 8)])
+def test_layer_masks_match_their_points(n, k):
+    # a layer's mask is the OR of its points' bits, and each gained cell's
+    # closed mask counts N[p] ∩ A for every layer A, also when a neighbour
+    # of p was numbered after p; the recount steps from p by king steps
+    chain = kinglattice.search._LayerChain(n, 10**6)
+    chain.family_size(k)
+    chain.optimal_sets(k)
+    bits = chain._bits
+    layers = [frozenset(pts) for pts in chain.points]
+    assert len(layers) > 100 and len(bits) > 20
+    for mask, pts in zip(chain.masks, chain.points):
+        assert len(pts) == len(set(pts))
+        assert mask == functools.reduce(operator.or_, map(bits.get, pts))
+    king = list(itertools.product((-1, 0, 1), repeat=n - 1))
+    for p, bit in bits.items():
+        closed = chain.closed[bit.bit_length() - 1]
+        around = [tuple(map(operator.add, p, d)) for d in king]
+        for mask, layer in zip(chain.masks, layers):
+            assert (mask & closed).bit_count() == sum(q in layer for q in around)
 
 
 def test_layer_families_equal_segments_and_partitions():
@@ -231,10 +255,10 @@ def test_layer_families_equal_segments_and_partitions():
     line = kinglattice.search._LayerChain(2, 10**6)
     plane = kinglattice.search._LayerChain(3, 10**6)
     for s in range(1, 15):
-        assert [line.points[c] for c in line.family(s)] == [
+        assert [frozenset(line.points[c]) for c in line.family(s)] == [
             frozenset((x,) for x in canonical_segment(s))
         ]
-        assert {plane.points[c] for c in plane.family(s)} == {
+        assert {frozenset(plane.points[c]) for c in plane.family(s)} == {
             partition_set(p) for p in partitions(s)
         }
         assert len(plane.family(s)) == partition_count(s)
@@ -244,8 +268,8 @@ def reference_layer_dp(chain):
     """count(B, r), the steps nexts(B, r), E(C) and best(A, B, r) over
     ``chain``'s layers, by memoised recursion whose steps come from a subset
     test over every layer built, with E and cross recounted from king steps
-    rather than read from the chain's tables."""
-    points, size = chain.points, chain.size
+    rather than read from the chain's tables or masks."""
+    points, size = [frozenset(pts) for pts in chain.points], chain.size
     (origin,) = points[0]
     steps = list(itertools.product((-1, 0, 1), repeat=len(origin)))
 
@@ -667,8 +691,8 @@ def test_frontier_reports_are_byte_identical(capsys, n, k):
 
 
 def test_search_memory_stays_under_its_ceiling():
-    # the DP's tables at (3, 20) peak near 8.9 MB traced; keeping every
-    # layer's sub-layers as well would take them past the ceiling
+    # the DP's tables at (3, 20) peak near 5.9 MB traced; a frozenset per
+    # layer, as layers were once stored, took them to 8.2 MB
     tracemalloc.start()
     try:
         r = min_edge_boundary(3, 20)
@@ -676,7 +700,37 @@ def test_search_memory_stays_under_its_ceiling():
     finally:
         tracemalloc.stop()
     assert r.min_edge_boundary == 302
-    assert peak < 10_000_000
+    assert peak < 7_000_000
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_frontier_search_stays_under_its_rss_ceiling():
+    # the whole CLI run at (4, 18) peaks near 141 MB resident; a frozenset
+    # per layer, as layers were once stored, took it to 196-203 MB.  The
+    # child reports its own VmHWM: its ru_maxrss would keep the peak of this
+    # test process, which it is forked from, across the exec
+    argv = ["search", "--dim", "4", "--size", "18", "--max-sets", str(10**11)]
+    code = (
+        "import sys\n"
+        "from kinglattice.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(*[line.split()[1] for line in status if line.startswith('VmHWM:')],"
+        " file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--format", "json"],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        FRONTIER_REPORT_SHA256[4, 18]
+    )
+    assert int(done.stderr) * 1024 < 160 * 2**20  # VmHWM is in kB
 
 
 def full_scan(n, k):

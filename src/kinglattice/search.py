@@ -91,6 +91,12 @@ class _LayerChain:
     state's steps do not depend on which parent reached it first, and the
     memo keys hold no pool.
 
+    Layer 0 is the one-point layer {0}, the only layer of size 1, and its
+    only sub-layer is itself.  So a chain that reaches it with r points to
+    place, its own included, repeats it r - 1 more times: its tail is the
+    forced column of r points over the origin, which ``walk`` yields in one
+    step.
+
     Layers at adjacent heights are (L1, L2), (L1, L3) and (L_m, L_(m+2)) for
     m >= 2, so S's inside edges E_int(S) are the sum of E(L_m), the edges
     inside each layer, and of cross(A, C) = sum over c in C of |N[c] ∩ A|
@@ -265,18 +271,34 @@ class _LayerChain:
         left it takes the steps ``keep(A, B, r)`` lists, if given, or all.  A
         layer on the walk's path is lifted to its height once, when the walk
         reaches it, and every set below it reuses those points.
+
+        The one-point layer 0 has no sub-layer but itself, so a chain that
+        reaches it with r points to place, its own included, is forced to
+        the end: the origin at that depth and the r - 1 after it.  The walk
+        yields that set at once, from the layers above and a slice of the
+        origin lifted to every depth, built the first time layer 0 is
+        reached.  ``keep`` could only have listed layer 0 there, so it is not
+        asked.  Beyond the layer tables the walk holds O(k) points: one
+        lifted layer per depth and that column.
         """
         points, size, starts = self.points, self.size, self._starts
         # rises[m] repeats the (y,) that lifts a layer at depth m + 1 to height y
         rises = [repeat(((m + 1) // 2 if m % 2 else -(m // 2),)) for m in range(k)]
         lifted: list[list[Point]] = []  # the layers on the path, lifted
+        column: list[Point] = []  # layer 0, the one point, lifted at every depth
         for first in firsts:
             # (depth, layer before it, layer, points left before it, its pool)
             todo = [(0, first, first, k, range(len(points)))]
             while todo:
                 depth, a, b, r, pool = todo.pop()
-                r -= size[b]
                 del lifted[depth:]
+                if b == 0:  # its only sub-layer is itself: the rest is forced
+                    if not column:  # layer 0 exists once the walk reaches it
+                        column = [points[0][0] + next(y) for y in rises]
+                    lifted.append(column[depth : depth + r])
+                    yield frozenset(chain.from_iterable(lifted))
+                    continue
+                r -= size[b]
                 lifted.append(list(map(add, points[b], rises[depth])))
                 if r == 0:
                     yield frozenset(chain.from_iterable(lifted))
@@ -381,7 +403,9 @@ def enumerate_compressed_sets(
     included; exceeding it raises EnumerationOverflowError rather than
     truncating, as does any k above MAX_SIZE for n >= 2, at any cap.  Each
     set is stacked from the lifted layers on the walk's path, so beyond the
-    layer tables the walk holds O(k) points however long its chains.  The
+    layer tables the walk holds O(k) points however long its chains.  A
+    chain that reaches the one-point layer can only repeat it, so that tail
+    is yielded as one column over the origin, not walked layer by layer.  The
     order is deterministic but not promised: it may change between versions.
     No two sets are translates of each other, and all coordinates stay
     within ceil(k/2) + 1 of the origin.

@@ -72,8 +72,9 @@ def test_enumerate_one_dimension_is_single_segment():
 
 
 def test_long_chains_stay_linear_in_memory():
-    # the segment of Z^1 is a chain of 3000 one-point layers; stacking it from
-    # a frozenset per prefix would hold about 4.5 million points
+    # the segment of Z^1 is a chain of 3000 one-point layers, which the walk
+    # yields as one forced column with no deep stack; the chain of two-point
+    # layers below keeps a deep stack under test
     tracemalloc.start()
     try:
         (segment,) = enumerate_compressed_sets(1, 3000)
@@ -81,6 +82,25 @@ def test_long_chains_stay_linear_in_memory():
     finally:
         tracemalloc.stop()
     assert segment.points == frozenset({(x,) for x in canonical_segment(3000)})
+    assert peak < 3_000_000
+
+
+def test_long_chains_of_wide_layers_stay_linear_in_memory():
+    # 1500 two-point layers in Z^2, each walked, lifted and stacked: a
+    # frozenset per prefix would hold about 2.25 million points
+    chain = kinglattice.search._LayerChain(2, 10**6)
+    (pair,) = chain.family(2)
+
+    def keep(a, b, r):
+        return [pair] if r >= 2 else [0]
+
+    tracemalloc.start()
+    try:
+        (block,) = chain.walk(3000, [pair], keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block == {(x, y) for x in (0, 1) for y in canonical_segment(1500)}
     assert peak < 3_000_000
 
 
@@ -303,6 +323,80 @@ def reference_layer_dp(chain):
         )
 
     return count, nexts, edges, best
+
+
+def reference_walk(chain, k, firsts, keep=None):
+    """The layer-chain walk with no shortcut: an explicit stack that lifts
+    every layer, each one-point layer included, and pushes each layer's
+    steps in ascending order, as ``walk`` does.  Without ``keep`` the steps
+    are the layers inside B with at most r points, by a subset test over
+    every layer built."""
+    heights = [(m + 1) // 2 if m % 2 else -(m // 2) for m in range(k)]
+    layers, size = [], chain.size
+    lifted = []
+    for first in firsts:
+        todo = [(0, first, first, k)]
+        while todo:
+            depth, a, b, r = todo.pop()
+            r -= size[b]
+            del lifted[depth:]
+            lifted.append([p + (heights[depth],) for p in chain.points[b]])
+            if r == 0:
+                yield frozenset(itertools.chain.from_iterable(lifted))
+                continue
+            if keep is not None:
+                subs = keep(a, b, r)
+            else:
+                layers[len(layers) :] = map(frozenset, chain.points[len(layers) :])
+                subs = [
+                    c
+                    for c in range(len(layers))
+                    if size[c] <= r and layers[c] <= layers[b]
+                ]
+            todo.extend((depth + 1, b, c, r) for c in subs)
+
+
+@pytest.mark.parametrize("n,k", [(1, 9), (2, 24), (3, 12), (4, 8)])
+def test_walk_equals_the_walk_without_shortcut(n, k):
+    # the walk yields a chain's forced tail of one-point layers in one step;
+    # the reference walks that tail a layer at a time
+    chain = kinglattice.search._LayerChain(n, 10**6)
+    firsts = (a for s in range(1, k + 1) for a in chain.family(s))
+    expected = list(reference_walk(chain, k, firsts))
+    yielded = [ps.points for ps in enumerate_compressed_sets(n, k)]
+    assert yielded == expected
+    assert len(yielded) == count_compressed_sets(n, k)
+
+
+@pytest.mark.parametrize("n,k,tail", [(2, 24, False), (3, 12, False), (2, 11, True)])
+def test_witness_walk_never_asks_keep_at_the_one_point_layer(monkeypatch, n, k, tail):
+    # at layer 0 the DP's only step is layer 0 itself, so the walk need not
+    # ask; at (2, 11) some witness ends in two one-point layers, and the
+    # reference, which asks there, still finds the same witnesses
+    asked, taken = [], {}
+    real = kinglattice.search._LayerChain.walk
+
+    def walk(self, k, firsts, keep):
+        taken.update(firsts=list(firsts), keep=keep)
+
+        def watched(a, b, r):
+            asked.append(b)
+            return keep(a, b, r)
+
+        return real(self, k, taken["firsts"], watched)
+
+    monkeypatch.setattr(kinglattice.search._LayerChain, "walk", walk)
+    chain = kinglattice.search._LayerChain(n, 10**6)
+    _, witnesses = chain.optimal_sets(k)
+    assert asked and 0 not in asked
+    reference_asked = []
+
+    def keep(a, b, r):
+        reference_asked.append(b)
+        return taken["keep"](a, b, r)
+
+    assert witnesses == list(reference_walk(chain, k, taken["firsts"], keep))
+    assert (0 in reference_asked) == tail
 
 
 @pytest.mark.parametrize("n,k_max", [(3, 16), (4, 12)])

@@ -42,3 +42,61 @@ def test_summary_reproduces_the_stored_bench_figures(bench_pairs):
     # a tie counts for neither side
     tied = bench_pairs.summarize([1.0, 2.0, 3.0], [1.0, 1.5, 3.5])
     assert tied["change_lower_in_pairs"] == 1
+
+
+def _workload(bench_pairs, runs, failed=(0, 0), attempted=(100, 100)):
+    return {
+        "attempted": dict(zip(bench_pairs.SIDES, attempted)),
+        "failed": dict(zip(bench_pairs.SIDES, failed)),
+        "metrics": {
+            metric: {"unit": "s", **bench_pairs.summarize(parent, change)}
+            for metric, (parent, change) in runs.items()
+        },
+    }
+
+
+BENCH = {"end_to_end": [{"name": "t", "unit": "s", "better": "lower", "bound": 0.1}]}
+CLAIM = {"workload": "w", "metric": "t", "better": "lower"}
+TIGHT = [2.0, 2.01, 2.02, 2.01, 2.0]
+
+
+def test_verdicts_call_a_metric_unresolved_when_the_parent_spreads_past_the_bound(
+    bench_pairs,
+):
+    # the parent's quartiles lie 0.2 apart against a bound of 0.1, so a
+    # median shift inside the bound proves nothing either way
+    wide = [1.0, 1.1, 1.2, 1.3, 1.4]
+    near = [1.21, 1.19, 1.24, 1.15, 1.26]
+    note = bench_pairs.verdicts(
+        {"w": _workload(bench_pairs, {"t": (wide, near)})}, BENCH, None
+    )
+    assert "unresolved" in note and "w t (parent quartiles 1.1-1.3 s" in note
+    # unless every change run beats every parent run
+    low = [0.5, 0.6, 0.55, 0.7, 0.65]
+    note = bench_pairs.verdicts(
+        {"w": _workload(bench_pairs, {"t": (wide, low)})}, BENCH, None
+    )
+    assert "unresolved" not in note
+    # a tight parent leaves a shift inside the bound resolved
+    note = bench_pairs.verdicts(
+        {"w": _workload(bench_pairs, {"t": (TIGHT, [2.05] * 5)})}, BENCH, None
+    )
+    assert note == "no end-to-end metric's median is worse than the parent's past its bound"
+    note = bench_pairs.verdicts(
+        {"w": _workload(bench_pairs, {"t": (TIGHT, [2.2] * 5)})}, BENCH, None
+    )
+    assert note.startswith("worse than the parent past its bound: w t by 0.19")
+
+
+def test_claim_needs_no_larger_share_of_failed_operations(bench_pairs):
+    faster = [1.0, 1.01, 1.0, 1.02, 1.01]
+    runs = {"t": (TIGHT, faster)}
+    note = bench_pairs.verdicts({"w": _workload(bench_pairs, runs)}, BENCH, CLAIM)
+    assert note.startswith("claimed: w t median 2.01 -> 1.01 s, lower in 5 of 5 pairs")
+    # the same share of failures on twice the operations still counts
+    w = _workload(bench_pairs, runs, failed=(1, 2), attempted=(100, 200))
+    assert bench_pairs.verdicts({"w": w}, BENCH, CLAIM).startswith("claimed")
+    w = _workload(bench_pairs, runs, failed=(1, 3), attempted=(100, 200))
+    note = bench_pairs.verdicts({"w": w}, BENCH, CLAIM)
+    assert note.startswith("claim not met")
+    assert note.endswith("a larger share of operations failed on: w")

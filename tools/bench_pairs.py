@@ -1,16 +1,17 @@
 """Run the benchmark in alternating parent/change pairs and write BENCH_<pr>.json.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --pr N --pairs P --seconds S \\
-        --title TEXT [--parent-sha SHA] [--claim WORKLOAD:METRIC]
+    python3 tools/bench_pairs.py PARENT CHANGE --pr N --pairs P --title TEXT \\
+        --parent-sha SHA [--claim WORKLOAD:METRIC]
 
 PARENT and CHANGE are exported source trees of the two commits, each made
 by ``git archive <rev> | tar -x -C <dir>``, so each side runs its own
 ``perfbench/`` and ``src/``.  For every workload that CHANGE's
 BENCHMARK.json declares, pair i = 1..P runs the declared command with
 ``--workload W --seed <100 N + i> --seconds S --trace 0`` once in each
-tree, the parent first in odd pairs and the change first in even ones, so
-a drift of the host's speed does not favour one side.  Runs go one at a
-time.
+tree, where S is that file's ``run_seconds``, so every BENCH file is made
+from runs of the declared length.  The parent goes first in odd pairs and
+the change first in even ones, so a drift of the host's speed does not
+favour one side.  Runs go one at a time.
 
 Export both sides to paths of equal length, such as ``bench/parent`` and
 ``bench/change``.  ``peak_rss_mb`` moves with the length of the checkout's
@@ -22,10 +23,15 @@ The file is written to the current directory.  For each metric of
 BENCHMARK.json's ``end_to_end`` list it holds each side's runs, in pair
 order, and their quartiles by ``statistics.quantiles(method='inclusive')``,
 the pairs in which the change read lower, and the change's median over the
-parent's.  With ``--claim`` the note says whether that metric met the gain
-rule: lower in at least nine tenths of the pairs, by more than the distance
-between the parent's quartiles.  Either way it names every metric whose
-median worsened by more than its bound.
+parent's, and each side's operations attempted and failed.  With
+``--claim`` the note says whether that metric met the gain rule: lower in at
+least nine tenths of the pairs, by more than the distance between the
+parent's quartiles, with no larger share of failed operations than the
+parent's on that workload.  Either way it names every metric whose median
+worsened by more than its bound, every metric it cannot judge because the
+parent's quartiles lie further apart than the bound (unless every change
+run beat every parent run), and every workload whose share of failed
+operations grew.
 """
 
 from __future__ import annotations
@@ -102,6 +108,7 @@ def run_workload(
         "pairs": len(seeds),
         "seeds": seeds,
         "all_correct": all(r["correct"] for side in SIDES for r in results[side]),
+        "attempted": {side: sum(r["attempted"] for r in results[side]) for side in SIDES},
         "failed": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
         "metrics": {
             m: {"unit": unit, **summarize(runs["parent"][m], runs["change"][m])}
@@ -110,33 +117,64 @@ def run_workload(
     }
 
 
+def fails_more(workload: dict) -> bool:
+    """Whether the change failed a larger share of its operations than the parent."""
+    failed, attempted = workload["failed"], workload["attempted"]
+    return failed["change"] * attempted["parent"] > failed["parent"] * attempted["change"]
+
+
 def verdicts(workloads: dict, bench: dict, claim: dict | None) -> str:
-    """The claim's outcome under the gain rule and every bound passed."""
+    """The claim's outcome under the gain rule, and every metric past or unjudged
+    by its bound."""
     parts = []
     if claim is not None:
-        entry = workloads[claim["workload"]]["metrics"][claim["metric"]]
+        workload = workloads[claim["workload"]]
+        entry = workload["metrics"][claim["metric"]]
         parent, change = entry["parent"], entry["change"]
         pairs, wins = len(parent["runs"]), entry["change_lower_in_pairs"]
         gap, spread = parent["median"] - change["median"], parent["q3"] - parent["q1"]
-        met = 10 * wins >= 9 * pairs and gap > spread
+        met = 10 * wins >= 9 * pairs and gap > spread and not fails_more(workload)
         parts.append(
             f"{'claimed' if met else 'claim not met'}: {claim['workload']} "
             f"{claim['metric']} median {parent['median']} -> {change['median']} "
             f"{entry['unit']}, lower in {wins} of {pairs} pairs; the difference "
-            f"({gap:.4g}) against the parent's interquartile range ({spread:.4g})"
+            f"({gap:.4g}) against the parent's interquartile range ({spread:.4g}); "
+            f"failed operations {workload['failed']['parent']} of "
+            f"{workload['attempted']['parent']} -> {workload['failed']['change']} of "
+            f"{workload['attempted']['change']}"
         )
-    worse = []
+    worse, unresolved = [], []
     for spec in bench["end_to_end"]:
         sign = 1 if spec["better"] == "lower" else -1
         for name, w in workloads.items():
             entry = w["metrics"][spec["name"]]
-            rise = sign * (entry["change"]["median"] - entry["parent"]["median"])
+            parent, change = entry["parent"], entry["change"]
+            rise = sign * (change["median"] - parent["median"])
+            spread = parent["q3"] - parent["q1"]
+            # signed values, so that lower is better for every metric
+            all_better = max(sign * v for v in change["runs"]) < min(
+                sign * v for v in parent["runs"]
+            )
             if rise > spec["bound"]:
                 worse.append(f"{name} {spec['name']} by {rise:.4g} {spec['unit']}")
+            elif spread > spec["bound"] and not all_better:
+                unresolved.append(
+                    f"{name} {spec['name']} (parent quartiles {parent['q1']}-"
+                    f"{parent['q3']} {spec['unit']}, bound {spec['bound']}; median "
+                    f"{parent['median']} -> {change['median']})"
+                )
     parts.append(
         "worse than the parent past its bound: " + "; ".join(worse)
-        if worse else "no end-to-end metric is worse than the parent past its bound"
+        if worse else "no end-to-end metric's median is worse than the parent's past its bound"
     )
+    if unresolved:
+        parts.append(
+            "unresolved, the parent's interquartile range being wider than the "
+            "bound: " + "; ".join(unresolved)
+        )
+    more = [name for name, w in workloads.items() if fails_more(w)]
+    if more:
+        parts.append("a larger share of operations failed on: " + ", ".join(more))
     return "; ".join(parts)
 
 
@@ -157,9 +195,8 @@ def main() -> int:
     parser.add_argument("change", type=Path, help="exported tree of the change")
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--title", required=True)
-    parser.add_argument("--parent-sha", default=None)
+    parser.add_argument("--parent-sha", required=True)
     parser.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC")
     args = parser.parse_args()
 
@@ -183,7 +220,7 @@ def main() -> int:
     seeds = [100 * args.pr + i for i in range(1, args.pairs + 1)]
     workloads = {
         w["name"]: run_workload(
-            roots, bench["command"], w["name"], seeds, args.seconds, metrics
+            roots, bench["command"], w["name"], seeds, bench["run_seconds"], metrics
         )
         for w in bench["workloads"]
     }
@@ -196,7 +233,7 @@ def main() -> int:
         "cpu_count": os.cpu_count(),
         "cpu_model": cpu_model(),
         "command": " ".join(bench["command"])
-        + f" --workload W --seed S --seconds {args.seconds:g} --trace 0,"
+        + f" --workload W --seed S --seconds {bench['run_seconds']:g} --trace 0,"
         " run from an export of each side",
         "method": "alternating parent/change pairs (odd pairs parent first, even pairs "
         "change first), one seed per pair; quartiles by "

@@ -49,6 +49,8 @@ def parse_point_set(text: str | bytes) -> PointSet:
         if not line:
             continue
         tokens = line.replace(",", " ").split()
+        if not tokens:  # only commas and spaces
+            raise ParseError(f"line {lineno}: no coordinates in {line!r}")
         if not line.isascii() or "_" in line:
             # int() would read "1_0" as 10 and a non-ASCII digit such as "٣" as 3
             kind = "dimension" if tokens[0] == "dim" else "coordinate"

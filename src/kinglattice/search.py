@@ -18,9 +18,9 @@ import random
 import sys
 from dataclasses import dataclass
 from bisect import bisect_left
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import add
-from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import Point, PointSet, _check_dimension, _closed_steps
 from .boundary import (
@@ -83,13 +83,16 @@ class _LayerChain:
     layers are the size-(s-1) layers L, each with one point p minimal
     outside it added.  Ids ascend with size, in a fixed order within a size.
 
-    The walk and both DPs step from a layer B, r points left after it, to
+    The walk and the DP step from a layer B, r points left after it, to
     each layer C ⊆ B with |C| <= r, and ``steps`` finds those C in a pool:
     the steps of the state that reached B, or every layer for a first one.
     A state (B, r) reached from (A, r') has B ⊆ A and r = r' - |B| < r', so
     every layer inside B with at most r points is among A's steps.  So a
     state's steps do not depend on which parent reached it first, and the
-    memo keys hold no pool.
+    state table's keys hold no pool.  That one table, ``_states``, serves
+    the count and the maximisation alike: ``family_size`` settles each state
+    once, finding its steps and its count, and ``optimal_sets`` adds the
+    gains of the states settled since its last call.
 
     Layer 0 is the one-point layer {0}, the only layer of size 1, and its
     only sub-layer is itself.  So a chain that reaches it with r points to
@@ -103,7 +106,7 @@ class _LayerChain:
     over those pairs, N[c] being c's closed king neighbourhood in Z^(n-1).
     With a virtual L0 = L1 every step has the same form: after layers A and
     B, with r points left, the next layer C ⊆ B scores E(C) + cross(A, C),
-    and only cross reads A.  So the DP keeps each state's steps C with their
+    and only cross reads A.  So each state keeps its steps C with their
     gains E(C) + f(B, C, r - |C|), and f(A, B, r), the most edges r more
     points add after A and B, is the largest cross(A, C) + gain.  E and
     cross grow along the removals: E(L) = E(L - {p}) + |N(p) ∩ L| and
@@ -125,7 +128,7 @@ class _LayerChain:
     """
 
     def __init__(self, n: int, cap: int) -> None:
-        self.cap = cap
+        self.n, self.cap = n, cap
         self.points: list[tuple[Point, ...]] = []
         self.masks: list[int] = []
         self.size: list[int] = []
@@ -138,8 +141,9 @@ class _LayerChain:
         self._fringe: dict[int, _Fringe] = {0: (-1, (), [(0,) * (n - 1)])}
         self._nears: dict[Point, tuple[tuple[Point, ...], ...]] = {}
         self._cross: dict[tuple[int, int], int] = {}
-        self._count: dict[tuple[int, int], int] = {}
-        self._gains: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        # each settled (layer, points left) state: [count, steps, gains]
+        self._states: dict[tuple[int, int], list] = {}
+        self._gained = 0  # the states before this one have their gains
 
     def family(self, s: int) -> range:
         """Ids of the size-s layers; raises EnumerationOverflowError past the cap."""
@@ -223,40 +227,6 @@ class _LayerChain:
         cut = bisect_left(pool, self._starts[min(r, self.size[b])])
         return [c for c in pool[:cut] if not masks[c] & outside]
 
-    def _post_order(
-        self, memo: Container[tuple[int, int]], root: tuple[int, int]
-    ) -> Iterator[tuple[tuple[int, int], list[int]]]:
-        """Yield ``root`` and the states it needs that ``memo`` lacks, children first.
-
-        A state is a layer B and its points left r; states with none left
-        are leaves.  Each step C from B, drawn from the pool on the state's
-        stack entry (every layer for the root, the parent's steps for the
-        rest), gives the child (C, r - |C|).  Each state comes with its steps
-        once all its children but the leaves, which the caller values itself,
-        are in ``memo``; the caller stores the state's value there before
-        asking for the next.  An explicit stack replaces recursion, so a chain
-        of any length, such as the k one-point layers of a segment in Z^1,
-        uses no Python frames.  Children have fewer points left, so no cycles.
-        """
-        size = self.size
-        todo = [(root, range(len(self.points)), None)]
-        while todo:
-            state, pool, subs = todo[-1]
-            if state in memo:  # pushed again before it was settled
-                todo.pop()
-                continue
-            if subs is None:
-                b, r = state
-                subs = self.steps(b, r, pool)
-                kids = ((c, r - size[c]) for c in subs if r > size[c])
-                missing = [(kid, subs, None) for kid in kids if kid not in memo]
-                if missing:
-                    todo[-1] = (state, pool, subs)
-                    todo.extend(missing)
-                    continue
-            todo.pop()
-            yield state, subs
-
     def walk(
         self, k: int, firsts: Iterable[int], keep: Callable[..., list] | None = None
     ) -> Iterator[frozenset[Point]]:
@@ -313,70 +283,88 @@ class _LayerChain:
                     zip(repeat(depth + 1), repeat(b), subs, repeat(r), repeat(subs))
                 )
 
-    def count(self, b: int, r: int) -> int:
-        """Chains that follow layer b with r more points, saturating at cap + 1.
+    def _settle(self, b: int, r: int) -> int:
+        """The count of chains that follow layer b with r > 0 more points,
+        settling the state (b, r) and every state it needs, children first.
 
-        g(B, r) = [r = 0] + sum of g(C, r - |C|) over the steps from B.
+        A state is a layer B and its points left r.  Settling it finds its
+        steps C once, drawn from the pool on its stack entry (every layer for
+        the root, the parent's steps for the rest), and stores them in
+        ``_states[B, r]`` with its count, which saturates at cap + 1:
+        g(B, r) = sum over the steps of 1 if |C| = r, else g(C, r - |C|).
+        A step that uses up r ends a chain, so no state has r = 0.  An
+        explicit stack replaces recursion, so a chain of any length, such as
+        the k one-point layers of a segment in Z^1, uses no Python frames.
+        Children have fewer points left, so no cycles.
         """
-        memo, size = self._count, self.size
-        root = (b, r)
-        for (b, r), steps in self._post_order(memo, root):
-            ways = sum(memo[c, r - size[c]] if r > size[c] else 1 for c in steps)
-            memo[b, r] = min(ways + (r == 0), self.cap + 1)
-        return memo[root]
+        states, size, cap = self._states, self.size, self.cap
+        todo = [((b, r), range(len(self.points)), None)]
+        while todo:
+            state, pool, subs = todo[-1]
+            if state in states:  # pushed again before it was settled
+                todo.pop()
+                continue
+            b, r = state
+            if subs is None:
+                subs = self.steps(b, r, pool)
+                kids = ((c, r - size[c]) for c in subs if r > size[c])
+                missing = [(kid, subs, None) for kid in kids if kid not in states]
+                if missing:
+                    todo[-1] = (state, pool, subs)
+                    todo.extend(missing)
+                    continue
+            todo.pop()
+            ways = sum(states[c, r - size[c]][0] if r > size[c] else 1 for c in subs)
+            states[state] = [min(ways, cap + 1), subs, None]
+        return states[b, r][0]
 
     def family_size(self, k: int) -> int:
-        """Size of the size-k family in Z^n; first layers go smallest first."""
+        """Size of the size-k family in Z^n; first layers go smallest first,
+        and past the cap it raises the enumeration's error."""
         total = 0
-        for s in range(1, k + 1):
-            for a in self.family(s):
-                total += self.count(a, k - s)
-                if total > self.cap:
-                    raise EnumerationOverflowError
+        try:
+            for s in range(1, k + 1):
+                for a in self.family(s):
+                    total += self._settle(a, k - s) if s < k else 1
+                    if total > self.cap:
+                        raise EnumerationOverflowError
+        except EnumerationOverflowError:
+            raise _overflow(self.n, k, self.cap) from None
         return total
-
-    def gains(self, b: int, r: int) -> tuple[list[int], list[int]]:
-        """The steps C from (b, r), ascending, and each E(C) + f(B, C, r - |C|)."""
-        memo, size, edges, best = self._gains, self.size, self.edges, self.best
-        root = (b, r)
-        for (b, r), steps in self._post_order(memo, root):
-            memo[b, r] = steps, [
-                edges[c] + (best(b, *memo[c, r - size[c]]) if r > size[c] else 0)
-                for c in steps
-            ]
-        return memo[root]
 
     def best(self, a: int, steps: list[int], gains: list[int]) -> int:
         """f(A, B, r) from (B, r)'s steps and gains: max of cross(A, C) + gain."""
         return max(map(add, map(self.cross, repeat(a), steps), gains), default=0)
 
-    def optimal_sets(self, k: int) -> tuple[int, list[frozenset[Point]]]:
-        """The largest E_int over the size-k family, and every set reaching it.
+    def optimal_sets(self, k: int) -> tuple[int, int, list[frozenset[Point]]]:
+        """The size-k family's size, its largest E_int, and every set reaching it.
 
-        The sets are the ones ``walk`` stacks from the tops while it takes
-        only the steps that keep to the optimum.
+        Each state settled since the last call gets its gains, each step's
+        E(C) + f(B, C, r - |C|), in settle order, so every child has its
+        gains before its parent.  The sets are the ones ``walk`` stacks from
+        the tops while it takes only the steps that keep to the optimum.
         """
+        total = self.family_size(k)
+        states, size, edges, best = self._states, self.size, self.edges, self.best
+        for (b, r), state in islice(states.items(), self._gained, None):
+            state[2] = [
+                edges[c] + (best(b, *states[c, r - size[c]][1:]) if r > size[c] else 0)
+                for c in state[1]
+            ]
+        self._gained = len(states)
         firsts = {}  # ids ascend with size, so these are all layers of at most k
         for a in range(self.family(k).stop):
-            r = k - self.size[a]
-            firsts[a] = self.edges[a] + (self.best(a, *self.gains(a, r)) if r else 0)
+            r = k - size[a]
+            firsts[a] = edges[a] + (best(a, *states[a, r][1:]) if r else 0)
         most = max(firsts.values())
 
         def on_best(a: int, b: int, r: int) -> list[int]:
-            steps, gains = self._gains[b, r]
-            top = self.best(a, steps, gains)
+            _, steps, gains = states[b, r]
+            top = best(a, steps, gains)
             return [c for c, g in zip(steps, gains) if self.cross(a, c) + g == top]
 
         tops = [a for a, e in firsts.items() if e == most]
-        return most, list(self.walk(k, tops, on_best))
-
-
-def _family_size(chains: _LayerChain, n: int, k: int) -> int:
-    """The size-k family's size, or the enumeration's error past the cap."""
-    try:
-        return chains.family_size(k)
-    except EnumerationOverflowError:
-        raise _overflow(n, k, chains.cap) from None
+        return total, most, list(self.walk(k, tops, on_best))
 
 
 def count_compressed_sets(n: int, k: int, max_sets: int = DEFAULT_MAX_SETS) -> int:
@@ -390,7 +378,7 @@ def count_compressed_sets(n: int, k: int, max_sets: int = DEFAULT_MAX_SETS) -> i
     only small layer families are built.
     """
     _check_request(n, k, max_sets)
-    return _family_size(_LayerChain(n, max_sets), n, k)
+    return _LayerChain(n, max_sets).family_size(k)
 
 
 def enumerate_compressed_sets(
@@ -499,8 +487,8 @@ def min_edge_boundary(
     gives every minimizing family member, and only those witnesses are
     checked: each goes once through both boundary routes, whose total must
     also match the DP's E_int.  Gap diagnostics read each witness's checked
-    breakdown.  ``sets_scanned`` is the family size, counted by the same
-    recursion rather than walked; the family past ``max_sets`` raises
+    breakdown.  ``sets_scanned`` is the family size, counted over the DP's
+    own states rather than walked; the family past ``max_sets`` raises
     EnumerationOverflowError, as enumerating it would, before the DP runs.
     """
     _check_request(n, k, max_sets)
@@ -514,11 +502,12 @@ def _optima(chains: _LayerChain, n: int, k: int) -> tuple[int, int, list[PointSe
     """The family size, the minimum boundary and the sorted tying witnesses
     for (n, k), from layer tables that may hold other sizes too.
 
-    No table entry depends on k: layers are built by size, and the memos are
-    keyed by layers and points left.  So one ``_LayerChain`` serves every k.
+    No table entry depends on k: layers are built by size, the states are
+    keyed by a layer and its points left, and the cross memo by two layers.
+    So one ``_LayerChain`` serves every k, and each size fills the gains of
+    only the states that no earlier size settled.
     """
-    scanned = _family_size(chains, n, k)
-    inside, tying = chains.optimal_sets(k)
+    scanned, inside, tying = chains.optimal_sets(k)
     witnesses = [PointSet(n, pts).normalized() for pts in tying]
     witnesses.sort(key=lambda ps: sorted(ps.points))
     return scanned, k * (3**n - 1) - 2 * inside, witnesses

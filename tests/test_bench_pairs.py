@@ -100,3 +100,36 @@ def test_claim_needs_no_larger_share_of_failed_operations(bench_pairs):
     note = bench_pairs.verdicts({"w": w}, BENCH, CLAIM)
     assert note.startswith("claim not met")
     assert note.endswith("a larger share of operations failed on: w")
+
+
+@pytest.mark.parametrize("pairs,refused", [(2, True), (9, True), (10, False)])
+def test_claim_is_refused_under_ten_pairs(
+    bench_pairs, monkeypatch, tmp_path, capsys, pairs, refused
+):
+    # the gain rule is defined over at least ten pairs, so fewer are refused
+    # before any benchmark runs; without --claim, 2 pairs are enough
+    class Ran(Exception):
+        pass
+
+    def ran(*args, **kwargs):
+        raise Ran
+
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text()
+    )
+    monkeypatch.setattr(bench_pairs, "run_workload", ran)
+    argv = [
+        "bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+        "--pr", "1", "--pairs", str(pairs), "--title", "t", "--parent-sha", "0",
+        "--claim", "search-exhaustive:round_s",
+    ]
+    monkeypatch.setattr(bench_pairs.sys, "argv", argv)
+    with pytest.raises(SystemExit if refused else Ran) as raised:
+        bench_pairs.main()
+    if refused:
+        assert raised.value.code == 2
+        assert "--claim needs at least 10 pairs" in capsys.readouterr().err
+    monkeypatch.setattr(bench_pairs.sys, "argv", argv[:-2])
+    with pytest.raises(Ran):
+        bench_pairs.main()

@@ -89,6 +89,23 @@ def test_parse_refuses_underscores_and_non_ascii_digits(tmp_path, capsys):
     assert parse_point_set(text).points == frozenset({(-1, 2)})
 
 
+def test_parse_refuses_a_line_of_only_commas(tmp_path, capsys):
+    # each bad line has content but no token; the last holds an em space,
+    # a non-ASCII character, so it would reach the non-ASCII check first
+    for text, where in (
+        ("0 0\n,\n", "line 2: no coordinates in ','"),
+        (", ,\n0 0\n", "line 1: no coordinates in ', ,'"),
+        ("dim 2\n0 0\n,\u2003,\n", "line 3: no coordinates in ',\\u2003,'"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(where)):
+            parse_point_set(text)
+        f = tmp_path / "bad.pts"
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "boundary", "--input", str(f))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {where}"]
+
+
 def test_parse_duplicate_reports_line():
     with pytest.raises(ParseError, match="line 2"):
         parse_point_set("0 0\n0 0\n")

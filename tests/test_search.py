@@ -387,7 +387,7 @@ def test_witness_walk_never_asks_keep_at_the_one_point_layer(monkeypatch, n, k, 
 
     monkeypatch.setattr(kinglattice.search._LayerChain, "walk", walk)
     chain = kinglattice.search._LayerChain(n, 10**6)
-    _, witnesses = chain.optimal_sets(k)
+    _, _, witnesses = chain.optimal_sets(k)
     assert asked and 0 not in asked
     reference_asked = []
 
@@ -399,6 +399,16 @@ def test_witness_walk_never_asks_keep_at_the_one_point_layer(monkeypatch, n, k, 
     assert (0 in reference_asked) == tail
 
 
+def assert_states_match_reference(chain, reference):
+    """Every state of ``chain`` has the reference's count, steps and gains."""
+    count, nexts, edges, best = reference
+    for (b, r), (ways, steps, gains) in chain._states.items():
+        assert ways == count(b, r), (b, r)
+        assert steps == nexts(b, r), (b, r)
+        expected = [edges(c) + best(b, c, r - chain.size[c]) for c in steps]
+        assert gains == expected, (b, r)
+
+
 @pytest.mark.parametrize("n,k_max", [(3, 16), (4, 12)])
 def test_pooled_dp_equals_full_range_reference(n, k_max):
     # each DP state draws its steps from the steps of the state that reached
@@ -408,19 +418,39 @@ def test_pooled_dp_equals_full_range_reference(n, k_max):
     for k in range(1, k_max + 1):
         chain.family_size(k)
         chain.optimal_sets(k)
-    count, nexts, edges, best = reference_layer_dp(chain)
-    assert len(chain._count) > 1000 and len(chain._gains) > 1000
-    for (b, r), ways in chain._count.items():
-        assert ways == count(b, r), (b, r)
-    for (b, r), (steps, gains) in chain._gains.items():
-        assert steps == nexts(b, r), (b, r)
-        expected = [edges(c) + best(b, c, r - chain.size[c]) for c in steps]
-        assert gains == expected, (b, r)
+    assert len(chain._states) > 1000
+    assert_states_match_reference(chain, reference_layer_dp(chain))
+
+
+@pytest.mark.parametrize("n,k_max", [(3, 16), (4, 12)])
+def test_gains_cursor_fills_every_state_children_first(n, k_max):
+    # optimal_sets fills the gains of the states settled since its last call;
+    # on a chain shared over k = 1..k_max, where the count for k + 1 runs
+    # before the search for k, and on a fresh chain per k, every state must
+    # end with the gains the reference finds
+    shared = kinglattice.search._LayerChain(n, 10**6)
+    for k in range(1, k_max + 1):
+        shared.family_size(k + 1)  # states for k + 1 settle before k's gains
+        shared.optimal_sets(k)
+        assert shared._gained == len(shared._states)
+        assert all(gains is not None for _, _, gains in shared._states.values())
+    reference = reference_layer_dp(shared)
+    assert_states_match_reference(shared, reference)
+    for k in range(1, k_max + 1):
+        fresh = kinglattice.search._LayerChain(n, 10**6)
+        _, most, _ = fresh.optimal_sets(k)
+        assert fresh.points == shared.points[: len(fresh.points)]
+        assert fresh._gained == len(fresh._states)
+        assert_states_match_reference(fresh, reference)
+        edges, best = reference[2], reference[3]
+        firsts = range(fresh.family(k).stop)
+        assert most == max(edges(a) + best(a, a, k - fresh.size[a]) for a in firsts)
 
 
 def test_each_dp_state_finds_its_steps_once(monkeypatch):
-    # both DPs are keyed by (layer, points left), so each new memo entry costs
-    # one subset scan and no entry is scanned again from another parent
+    # the count and the search share one table keyed by (layer, points left):
+    # each state costs one subset scan, when the count settles it, and the
+    # search reads its steps from the table without scanning again
     chain = kinglattice.search._LayerChain(3, 10**6)
     calls = []
     real = chain.steps
@@ -431,10 +461,12 @@ def test_each_dp_state_finds_its_steps_once(monkeypatch):
 
     monkeypatch.setattr(chain, "steps", counted)
     chain.family_size(16)
-    assert len(calls) == len(chain._count) > 500
+    assert len(calls) == len(chain._states) > 500
+    assert sorted(calls) == sorted(chain._states)
     calls.clear()
     chain.optimal_sets(16)
-    assert len(calls) == len(chain._gains) > 500
+    assert calls == []
+    assert all(r > 0 for _, r in chain._states)
 
 
 def test_enumerate_contains_the_centered_2x2_box():

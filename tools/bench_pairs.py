@@ -24,14 +24,14 @@ BENCHMARK.json's ``end_to_end`` list it holds each side's runs, in pair
 order, and their quartiles by ``statistics.quantiles(method='inclusive')``,
 the pairs in which the change read lower, and the change's median over the
 parent's, and each side's operations attempted and failed.  With
-``--claim`` the note says whether that metric met the gain rule: lower in at
-least nine tenths of the pairs, by more than the distance between the
-parent's quartiles, with no larger share of failed operations than the
-parent's on that workload.  Either way it names every metric whose median
-worsened by more than its bound, every metric it cannot judge because the
-parent's quartiles lie further apart than the bound (unless every change
-run beat every parent run), and every workload whose share of failed
-operations grew.
+``--claim``, which needs at least 10 pairs, the note says whether that
+metric met the gain rule: lower in at least nine tenths of the pairs, by
+more than the distance between the parent's quartiles, with no larger
+share of failed operations than the parent's on that workload.  Either
+way it names every metric whose median worsened by more than its bound,
+every metric it cannot judge because the parent's quartiles lie further
+apart than the bound (unless every change run beat every parent run), and
+every workload whose share of failed operations grew.
 """
 
 from __future__ import annotations
@@ -205,6 +205,8 @@ def main() -> int:
         parser.error("the two trees' paths differ in length, which moves peak_rss_mb")
     if args.pairs < 2:
         parser.error("quartiles need at least 2 pairs")
+    if args.claim and args.pairs < 10:
+        parser.error("--claim needs at least 10 pairs, over which the gain rule is defined")
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["unit"] for m in bench["end_to_end"]}
     claim = None

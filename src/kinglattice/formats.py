@@ -285,7 +285,7 @@ def parse_report(text: str) -> SearchReport | BoundaryBreakdown | list[SearchRep
     """Inverse of serialize_report; any malformed document raises ParseError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
         raise ParseError(f"bad report JSON: {e}") from None
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise ParseError(f"missing or unknown schema tag, expected {SCHEMA!r}")

@@ -110,8 +110,11 @@ class _LayerChain:
     gains E(C) + f(B, C, r - |C|), and f(A, B, r), the most edges r more
     points add after A and B, is the largest cross(A, C) + gain.  E and
     cross grow along the removals: E(L) = E(L - {p}) + |N(p) ∩ L| and
-    cross(A, C) = cross(A, C - {p}) + |N[p] ∩ A|.  ``walk`` is the one
-    place that stacks a chain into its set in Z^n.
+    cross(A, C) = cross(A, C - {p}) + |N[p] ∩ A|.  C - {p}, C's parent in
+    ``removal``, is inside C ⊆ B and smaller, so for a step C of (B, r) it
+    is -1, the empty layer, or an earlier step, and ``crosses`` finds every
+    step's cross in one pass that keeps nothing.  ``walk`` is the one place
+    that stacks a chain into its set in Z^n.
 
     Layers are bit masks over a table of cells.  Each point of Z^(n-1) gets
     the next cell number i, and the bit 1 << i, the first time a layer
@@ -140,7 +143,6 @@ class _LayerChain:
         # each layer of the largest size built, by mask; id -1 is {}
         self._fringe: dict[int, _Fringe] = {0: (-1, (), [(0,) * (n - 1)])}
         self._nears: dict[Point, tuple[tuple[Point, ...], ...]] = {}
-        self._cross: dict[tuple[int, int], int] = {}
         # each settled (layer, points left) state: [count, steps, gains]
         self._states: dict[tuple[int, int], list] = {}
         self._gained = 0  # the states before this one have their gains
@@ -204,20 +206,6 @@ class _LayerChain:
                 tuple(a + (1 - x if x > 0 else -x,) + b for a, x, b in cut if x),
             )
         return near
-
-    def cross(self, a: int, c: int) -> int:
-        """cross(A, C) for layer C inside layer A, walked down C's removals."""
-        memo, closed, inside = self._cross, self.closed, self.masks[a]
-        path = []
-        while c >= 0 and (a, c) not in memo:
-            rest, i = self.removal[c]
-            path.append((c, i))
-            c = rest
-        total = memo[a, c] if c >= 0 else 0
-        for c, i in reversed(path):
-            total += (inside & closed[i]).bit_count()
-            memo[a, c] = total
-        return total
 
     def steps(self, b: int, r: int, pool: Sequence[int]) -> list[int]:
         """Each layer C ⊆ B with |C| <= r, ascending, from a sorted ``pool``
@@ -332,9 +320,19 @@ class _LayerChain:
             raise _overflow(self.n, k, self.cap) from None
         return total
 
+    def crosses(self, a: int, steps: list[int]) -> list[int]:
+        """cross(A, C) for each C of a state's ``steps``, in order."""
+        inside, closed, removal = self.masks[a], self.closed, self.removal
+        got = {-1: 0}
+        for c in steps:
+            rest, i = removal[c]
+            got[c] = got[rest] + (inside & closed[i]).bit_count()
+        del got[-1]
+        return list(got.values())
+
     def best(self, a: int, steps: list[int], gains: list[int]) -> int:
         """f(A, B, r) from (B, r)'s steps and gains: max of cross(A, C) + gain."""
-        return max(map(add, map(self.cross, repeat(a), steps), gains), default=0)
+        return max(map(add, self.crosses(a, steps), gains), default=0)
 
     def optimal_sets(self, k: int) -> tuple[int, int, list[frozenset[Point]]]:
         """The size-k family's size, its largest E_int, and every set reaching it.
@@ -352,18 +350,19 @@ class _LayerChain:
                 for c in state[1]
             ]
         self._gained = len(states)
-        firsts = {}  # ids ascend with size, so these are all layers of at most k
+        firsts = []  # by id; ids ascend with size, so all layers of at most k
         for a in range(self.family(k).stop):
             r = k - size[a]
-            firsts[a] = edges[a] + (best(a, *states[a, r][1:]) if r else 0)
-        most = max(firsts.values())
+            firsts.append(edges[a] + (best(a, *states[a, r][1:]) if r else 0))
+        most = max(firsts)
 
         def on_best(a: int, b: int, r: int) -> list[int]:
             _, steps, gains = states[b, r]
-            top = best(a, steps, gains)
-            return [c for c, g in zip(steps, gains) if self.cross(a, c) + g == top]
+            totals = list(map(add, self.crosses(a, steps), gains))
+            top = max(totals)
+            return [c for c, t in zip(steps, totals) if t == top]
 
-        tops = [a for a, e in firsts.items() if e == most]
+        tops = [a for a, e in enumerate(firsts) if e == most]
         return total, most, list(self.walk(k, tops, on_best))
 
 
@@ -502,8 +501,8 @@ def _optima(chains: _LayerChain, n: int, k: int) -> tuple[int, int, list[PointSe
     """The family size, the minimum boundary and the sorted tying witnesses
     for (n, k), from layer tables that may hold other sizes too.
 
-    No table entry depends on k: layers are built by size, the states are
-    keyed by a layer and its points left, and the cross memo by two layers.
+    No table entry depends on k: layers are built by size, and the states
+    are keyed by a layer and its points left.
     So one ``_LayerChain`` serves every k, and each size fills the gains of
     only the states that no earlier size settled.
     """

@@ -525,6 +525,22 @@ def test_parse_report_rejects_bad_documents():
         parse_report(json.dumps({"schema": "kinglattice.report/1", "kind": "wat"}))
 
 
+def test_parse_report_refuses_too_deep_a_document():
+    # json.loads raises RecursionError, not JSONDecodeError, on deep nesting
+    with pytest.raises(ParseError, match="bad report JSON: maximum recursion"):
+        parse_report("[" * 100_000)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
+)
+def test_parse_report_refuses_an_integer_past_the_digit_limit():
+    # json.loads raises a plain ValueError past the int-to-str digit limit
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ParseError, match="bad report JSON: Exceeds the limit"):
+        parse_report(f'{{"schema": "kinglattice.report/1", "dim": {digits}}}')
+
+
 def _report_doc(kind, **fields):
     return json.dumps({"schema": "kinglattice.report/1", "kind": kind, **fields})
 

@@ -285,10 +285,11 @@ def test_layer_families_equal_segments_and_partitions():
 
 
 def reference_layer_dp(chain):
-    """count(B, r), the steps nexts(B, r), E(C) and best(A, B, r) over
-    ``chain``'s layers, by memoised recursion whose steps come from a subset
-    test over every layer built, with E and cross recounted from king steps
-    rather than read from the chain's tables or masks."""
+    """count(B, r), the steps nexts(B, r), E(C), best(A, B, r) and
+    cross(A, C) over ``chain``'s layers, by memoised recursion whose steps
+    come from a subset test over every layer built, with E and cross
+    recounted from king steps rather than read from the chain's tables or
+    masks."""
     points, size = [frozenset(pts) for pts in chain.points], chain.size
     (origin,) = points[0]
     steps = list(itertools.product((-1, 0, 1), repeat=len(origin)))
@@ -322,7 +323,7 @@ def reference_layer_dp(chain):
             default=0,
         )
 
-    return count, nexts, edges, best
+    return count, nexts, edges, best, cross
 
 
 def reference_walk(chain, k, firsts, keep=None):
@@ -401,7 +402,7 @@ def test_witness_walk_never_asks_keep_at_the_one_point_layer(monkeypatch, n, k, 
 
 def assert_states_match_reference(chain, reference):
     """Every state of ``chain`` has the reference's count, steps and gains."""
-    count, nexts, edges, best = reference
+    count, nexts, edges, best, _ = reference
     for (b, r), (ways, steps, gains) in chain._states.items():
         assert ways == count(b, r), (b, r)
         assert steps == nexts(b, r), (b, r)
@@ -420,6 +421,41 @@ def test_pooled_dp_equals_full_range_reference(n, k_max):
         chain.optimal_sets(k)
     assert len(chain._states) > 1000
     assert_states_match_reference(chain, reference_layer_dp(chain))
+
+
+@pytest.mark.parametrize("n,k", [(3, 16), (4, 12)])
+def test_each_steps_removal_parent_is_an_earlier_step(n, k):
+    # crosses adds each step's cross onto its parent's in one pass over the
+    # steps, so a step's parent must be {} or a step that comes before it
+    chain = kinglattice.search._LayerChain(n, 10**6)
+    chain.optimal_sets(k)
+    assert len(chain._states) > 500
+    for _, steps, _ in chain._states.values():
+        seen = {-1}
+        for c in steps:
+            assert chain.removal[c][0] in seen, c
+            seen.add(c)
+
+
+@pytest.mark.parametrize("n,k", [(3, 12), (4, 8)])
+def test_crosses_equal_the_recounted_cross(monkeypatch, n, k):
+    # every pass the search makes, for the DP and for the witness walk, gives
+    # each step the cross the reference recounts from king steps
+    chain = kinglattice.search._LayerChain(n, 10**6)
+    calls = []
+    real = chain.crosses
+
+    def recorded(a, steps):
+        got = real(a, steps)
+        calls.append((a, steps, got))
+        return got
+
+    monkeypatch.setattr(chain, "crosses", recorded)
+    chain.optimal_sets(k)
+    assert len(calls) > 400
+    cross = reference_layer_dp(chain)[4]
+    for a, steps, got in calls:
+        assert got == [cross(a, c) for c in steps], (a, steps)
 
 
 @pytest.mark.parametrize("n,k_max", [(3, 16), (4, 12)])
@@ -442,7 +478,7 @@ def test_gains_cursor_fills_every_state_children_first(n, k_max):
         assert fresh.points == shared.points[: len(fresh.points)]
         assert fresh._gained == len(fresh._states)
         assert_states_match_reference(fresh, reference)
-        edges, best = reference[2], reference[3]
+        edges, best = reference[2:4]
         firsts = range(fresh.family(k).stop)
         assert most == max(edges(a) + best(a, a, k - fresh.size[a]) for a in firsts)
 
@@ -797,6 +833,7 @@ FRONTIER_REPORT_SHA256 = {
     (3, 24): "2fb08a60eff3ca530c9f9557edc224793a7b5d21b76bf538a72e676b8059d0f7",
     (2, 100): "2beafee1890ebbb39b3b014b6c1a1b2af779d65e895da8f1452d5283d1767bfb",
     (4, 18): "2c82348d50bf32aa7f81b142362deedb736284c0de4d6b0ede474453b9807625",
+    (3, 28): "6c211624694d0c74669d536190055b3bec37868633a2ddea0b554fd8a9308fcc",
 }
 
 
@@ -806,6 +843,7 @@ FRONTIER_REPORT_SHA256 = {
         (3, 24),
         pytest.param(2, 100, marks=pytest.mark.slow),
         pytest.param(4, 18, marks=pytest.mark.slow),
+        pytest.param(3, 28, marks=pytest.mark.slow),
     ],
 )
 def test_frontier_reports_are_byte_identical(capsys, n, k):
@@ -817,8 +855,9 @@ def test_frontier_reports_are_byte_identical(capsys, n, k):
 
 
 def test_search_memory_stays_under_its_ceiling():
-    # the DP's tables at (3, 20) peak near 5.9 MB traced; a frozenset per
-    # layer, as layers were once stored, took them to 8.2 MB
+    # the DP's tables at (3, 20) peak near 2.5 MB traced; a memo of cross
+    # terms keyed by two layers took them to 5.6 MB, and a frozenset per
+    # layer, as layers were once stored, to 8.2 MB
     tracemalloc.start()
     try:
         r = min_edge_boundary(3, 20)
@@ -826,14 +865,15 @@ def test_search_memory_stays_under_its_ceiling():
     finally:
         tracemalloc.stop()
     assert r.min_edge_boundary == 302
-    assert peak < 7_000_000
+    assert peak < 4_000_000
 
 
 @pytest.mark.slow
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_frontier_search_stays_under_its_rss_ceiling():
-    # the whole CLI run at (4, 18) peaks near 141 MB resident; a frozenset
-    # per layer, as layers were once stored, took it to 196-203 MB.  The
+    # the whole CLI run at (4, 18) peaks near 81 MB resident; a memo of
+    # cross terms keyed by two layers took it to 133 MB, and a frozenset per
+    # layer, as layers were once stored, to 196-203 MB.  The
     # child reports its own VmHWM: its ru_maxrss would keep the peak of this
     # test process, which it is forked from, across the exec
     argv = ["search", "--dim", "4", "--size", "18", "--max-sets", str(10**11)]
@@ -856,7 +896,7 @@ def test_frontier_search_stays_under_its_rss_ceiling():
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
         FRONTIER_REPORT_SHA256[4, 18]
     )
-    assert int(done.stderr) * 1024 < 160 * 2**20  # VmHWM is in kB
+    assert int(done.stderr) * 1024 < 110 * 2**20  # VmHWM is in kB
 
 
 def full_scan(n, k):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from typing import Any, Sequence
 
 from .core import Direction, PointSet, directions
@@ -28,6 +29,23 @@ SCHEMA = "kinglattice.report/1"
 
 class ParseError(ValueError):
     """Malformed set file or report document."""
+
+
+def _shown(value: Any, most: int = 60) -> str:
+    """repr(value), cut to its first ``most`` characters, so that an error
+    line stays one short line however long the input that it names."""
+    text = repr(value)
+    return text if len(text) <= most else text[:most] + "..."
+
+
+def _refused(tokens: list[str], lineno: int, kind: str, line: str) -> ParseError:
+    """The error for a set-file line of ASCII tokens, free of underscores,
+    one of which int() refused."""
+    if all(re.fullmatch(r"[+-]?[0-9]+", t) for t in tokens):
+        # integers all, so int() refused one for its length
+        limit = sys.get_int_max_str_digits()
+        return ParseError(f"line {lineno}: {kind} longer than {limit} digits")
+    return ParseError(f"line {lineno}: non-integer {kind} in {_shown(line)}")
 
 
 def parse_point_set(text: str | bytes) -> PointSet:
@@ -50,11 +68,11 @@ def parse_point_set(text: str | bytes) -> PointSet:
             continue
         tokens = line.replace(",", " ").split()
         if not tokens:  # only commas and spaces
-            raise ParseError(f"line {lineno}: no coordinates in {line!r}")
+            raise ParseError(f"line {lineno}: no coordinates in {_shown(line)}")
         if not line.isascii() or "_" in line:
             # int() would read "1_0" as 10 and a non-ASCII digit such as "٣" as 3
             kind = "dimension" if tokens[0] == "dim" else "coordinate"
-            raise ParseError(f"line {lineno}: non-integer {kind} in {line!r}")
+            raise ParseError(f"line {lineno}: non-integer {kind} in {_shown(line)}")
         if tokens[0] == "dim":
             if dim is not None:
                 raise ParseError(f"line {lineno}: dim header must come first")
@@ -63,14 +81,14 @@ def parse_point_set(text: str | bytes) -> PointSet:
             try:
                 dim = int(tokens[1])
             except ValueError:
-                raise ParseError(f"line {lineno}: bad dimension {tokens[1]!r}") from None
+                raise _refused(tokens[1:], lineno, "dimension", line) from None
             if dim < 1:
                 raise ParseError(f"line {lineno}: dimension must be >= 1")
             continue
         try:
             p = tuple(map(int, tokens))
         except ValueError:
-            raise ParseError(f"line {lineno}: non-integer coordinate in {line!r}") from None
+            raise _refused(tokens, lineno, "coordinate", line) from None
         if dim is None:
             dim = len(p)
         elif len(p) != dim:
@@ -78,7 +96,7 @@ def parse_point_set(text: str | bytes) -> PointSet:
                 f"line {lineno}: point has {len(p)} coordinates, expected {dim}"
             )
         if p in points:
-            raise ParseError(f"line {lineno}: duplicate point {p}")
+            raise ParseError(f"line {lineno}: duplicate point {_shown(p)}")
         points.add(p)
     if dim is None:
         raise ParseError("empty input: need at least one point or a dim header")
@@ -309,8 +327,8 @@ def parse_report(text: str) -> SearchReport | BoundaryBreakdown | list[SearchRep
         if kind == "survey":
             return [_parse_search_dict(row) for row in doc["rows"]]
     except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"malformed {kind} document: {e!r}") from None
-    raise ParseError(f"unknown report kind {kind!r}")
+        raise ParseError(f"malformed {kind} document: {_shown(e)}") from None
+    raise ParseError(f"unknown report kind {_shown(kind)}")
 
 
 def render_grid(ps: PointSet, mode: str = "ascii", max_extent: int = 100) -> str:

@@ -69,8 +69,8 @@ def _overflow(n: int, k: int, max_sets: int) -> EnumerationOverflowError:
     )
 
 
-# a layer's id, its points and the points minimal outside it
-_Fringe = tuple[int, tuple[Point, ...], list[Point]]
+# a layer's id and the points minimal outside it
+_Fringe = tuple[int, list[Point]]
 
 
 class _LayerChain:
@@ -81,7 +81,11 @@ class _LayerChain:
     every axis section centered iff it is a down-set of the product of
     n - 1 copies of the order 0 < 1 < -1 < 2 < -2 < ..., so the size-s
     layers are the size-(s-1) layers L, each with one point p minimal
-    outside it added.  Ids ascend with size, in a fixed order within a size.
+    outside it added.  ``_add_size`` grows them in one pass over the fringe,
+    the size-(s-1) layers with their minimal outside points: a mask met
+    again keeps its first removal, and a new one is built on the spot, its
+    points L's plus p, its own minimal points found from p's neighbours.
+    Ids ascend with size, in a fixed order within a size.
 
     The walk and the DP step from a layer B, r points left after it, to
     each layer C ⊆ B with |C| <= r, and ``steps`` finds those C in a pool:
@@ -141,7 +145,7 @@ class _LayerChain:
         self._bits: dict[Point, int] = {}  # each numbered cell p: 1 << its number
         self.closed: list[int] = []  # by cell number: the mask of N[p]
         # each layer of the largest size built, by mask; id -1 is {}
-        self._fringe: dict[int, _Fringe] = {0: (-1, (), [(0,) * (n - 1)])}
+        self._fringe: dict[int, _Fringe] = {0: (-1, [(0,) * (n - 1)])}
         self._nears: dict[Point, tuple[tuple[Point, ...], ...]] = {}
         # each settled (layer, points left) state: [count, steps, gains]
         self._states: dict[tuple[int, int], list] = {}
@@ -154,32 +158,35 @@ class _LayerChain:
         return range(self._starts[s - 1], self._starts[s])
 
     def _add_size(self, s: int) -> None:
+        """Build the size-s layers, and their fringe, in one pass over the
+        fringe of size s - 1; refuse a family of more than ``cap`` layers."""
         bits, closed, zeros = self._bits, self.closed, repeat(0)
-        grown: dict[int, tuple[_Fringe, Point]] = {}  # the first removal
-        for mask, parent in self._fringe.items():
-            for p in parent[2]:
-                grown.setdefault(mask | (bits.get(p) or self._number(p)), (parent, p))
-                if len(grown) > self.cap:
+        points, edges = self.points, self.edges
+        fringe: dict[int, _Fringe] = {}
+        for below, (rest, corners) in self._fringe.items():
+            kept, base = (points[rest], edges[rest]) if rest >= 0 else ((), 0)
+            for p in corners:
+                bit = bits.get(p) or self._number(p)
+                mask = below | bit
+                if mask in fringe:  # built already: its first removal stands
+                    continue
+                if len(fringe) == self.cap:
                     raise EnumerationOverflowError
-        fringe = {}
-        for mask, ((rest, kept, corners), p) in grown.items():
-            # p's up-steps are the only points that adding p can make minimal,
-            # and u is minimal once the layer holds each of its down-steps
-            corners = [q for q in corners if q != p]
-            for u in self._near(p)[0]:
-                if all(map(mask.__and__, map(bits.get, self._near(u)[1], zeros))):
-                    corners.append(u)
-            layer = kept + (p,)
-            fringe[mask] = len(self.points), layer, corners
-            i = bits[p].bit_length() - 1
-            below = self.edges[rest] if rest >= 0 else 0
-            self.points.append(layer)
-            self.masks.append(mask)
-            self.size.append(s)
-            self.edges.append(below + (mask & closed[i]).bit_count() - 1)
-            self.removal.append((rest, i))
+                # p's up-steps are the only points that adding p can make minimal,
+                # and u is minimal once the layer holds each of its down-steps
+                minimal = [q for q in corners if q != p]
+                for u in self._near(p)[0]:
+                    if all(map(mask.__and__, map(bits.get, self._near(u)[1], zeros))):
+                        minimal.append(u)
+                i = bit.bit_length() - 1
+                fringe[mask] = len(points), minimal
+                points.append(kept + (p,))
+                self.masks.append(mask)
+                self.size.append(s)
+                edges.append(base + (mask & closed[i]).bit_count() - 1)
+                self.removal.append((rest, i))
         self._fringe = fringe
-        self._starts.append(len(self.points))
+        self._starts.append(len(points))
 
     def _number(self, q: Point) -> int:
         """Give q the next cell number, link it into the closed masks of its
@@ -226,7 +233,8 @@ class _LayerChain:
         sections along the last axis are centered runs iff the layers nest.
         Depth first on an explicit stack; a lazy ``firsts`` builds no layer
         family before the walk reaches it.  From layers A and B with r points
-        left it takes the steps ``keep(A, B, r)`` lists, if given, or all.  A
+        left it takes the steps ``keep(A, B, r)`` lists, if given, or else
+        every step ``steps`` finds in the pool of the state before.  A
         layer on the walk's path is lifted to its height once, when the walk
         reaches it, and every set below it reuses those points.
 
@@ -239,7 +247,7 @@ class _LayerChain:
         asked.  Beyond the layer tables the walk holds O(k) points: one
         lifted layer per depth and that column.
         """
-        points, size, starts = self.points, self.size, self._starts
+        points, size = self.points, self.size
         # rises[m] repeats the (y,) that lifts a layer at depth m + 1 to height y
         rises = [repeat(((m + 1) // 2 if m % 2 else -(m // 2),)) for m in range(k)]
         lifted: list[list[Point]] = []  # the layers on the path, lifted
@@ -261,12 +269,7 @@ class _LayerChain:
                 if r == 0:
                     yield frozenset(chain.from_iterable(lifted))
                     continue
-                if keep is not None:
-                    subs = keep(a, b, r)
-                elif a != b or not depth:
-                    subs = self.steps(b, r, pool)
-                else:  # the pool is a's steps, all inside b = a
-                    subs = pool[: bisect_left(pool, starts[min(r, size[b])])]
+                subs = self.steps(b, r, pool) if keep is None else keep(a, b, r)
                 todo.extend(
                     zip(repeat(depth + 1), repeat(b), subs, repeat(r), repeat(subs))
                 )
@@ -489,33 +492,24 @@ def min_edge_boundary(
     breakdown.  ``sets_scanned`` is the family size, counted over the DP's
     own states rather than walked; the family past ``max_sets`` raises
     EnumerationOverflowError, as enumerating it would, before the DP runs.
+    The layer tables belong to this call alone and are freed as soon as the
+    DP returns its optimum, before any witness is checked.
     """
     _check_request(n, k, max_sets)
-    chains = _LayerChain(n, max_sets)
-    optima = _optima(chains, n, k)
-    del chains  # the tables are not needed by the checks
-    return _checked_report(n, k, *optima)
-
-
-def _optima(chains: _LayerChain, n: int, k: int) -> tuple[int, int, list[PointSet]]:
-    """The family size, the minimum boundary and the sorted tying witnesses
-    for (n, k), from layer tables that may hold other sizes too.
-
-    No table entry depends on k: layers are built by size, and the states
-    are keyed by a layer and its points left.
-    So one ``_LayerChain`` serves every k, and each size fills the gains of
-    only the states that no earlier size settled.
-    """
-    scanned, inside, tying = chains.optimal_sets(k)
-    witnesses = [PointSet(n, pts).normalized() for pts in tying]
-    witnesses.sort(key=lambda ps: sorted(ps.points))
-    return scanned, k * (3**n - 1) - 2 * inside, witnesses
+    return _checked_report(n, k, *_LayerChain(n, max_sets).optimal_sets(k))
 
 
 def _checked_report(
-    n: int, k: int, scanned: int, best: int, witnesses: list[PointSet]
+    n: int, k: int, scanned: int, inside: int, tying: list[frozenset[Point]]
 ) -> SearchReport:
-    """The search report, once every witness has passed both routes at ``best``."""
+    """The report of the DP's family size, E_int and tying sets, once every
+    witness, normalized, has passed both routes at the minimum boundary."""
+    best = k * (3**n - 1) - 2 * inside
+    witnesses = [PointSet(n, pts).normalized() for pts in tying]
+    witnesses.sort(key=lambda ps: sorted(ps.points))
+    # the call's argument tuple keeps this list alive through the checks, so
+    # empty it: of the tying sets only their normalized copies stay
+    tying.clear()
     found = []
     for ps in witnesses:
         b = _verify_candidate(ps)
@@ -546,12 +540,15 @@ def survey_gap_free_optima(
     """Exhaustive minima for every size up to k_max, with gap diagnostics.
 
     Each report records whether some, and whether every, minimizing witness
-    is gap-free in all directions, not just along the axes.  All sizes share
-    one set of layer tables, and a size whose family passes ``max_sets``
-    raises as ``min_edge_boundary`` would for it.
+    is gap-free in all directions, not just along the axes.  No table entry
+    depends on k: layers are built by size, and the DP states are keyed by
+    a layer and its points left.  So all sizes share one ``_LayerChain``,
+    each size fills the gains of only the states no smaller size settled,
+    and a size whose family passes ``max_sets`` raises as
+    ``min_edge_boundary`` would for it.
     """
     _check_request(n, k_max, max_sets)
     chains = _LayerChain(n, max_sets)
     return [
-        _checked_report(n, k, *_optima(chains, n, k)) for k in range(1, k_max + 1)
+        _checked_report(n, k, *chains.optimal_sets(k)) for k in range(1, k_max + 1)
     ]

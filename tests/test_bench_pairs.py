@@ -133,3 +133,39 @@ def test_claim_is_refused_under_ten_pairs(
     monkeypatch.setattr(bench_pairs.sys, "argv", argv[:-2])
     with pytest.raises(Ran):
         bench_pairs.main()
+
+
+def test_every_run_of_a_bench_file_has_one_seed(bench_pairs, monkeypatch, tmp_path):
+    # the seed draws given-sets' random sets, whose peak memory moves with
+    # the seed by more than peak_rss_mb's bound, so no pair may differ in it
+    runs = []
+
+    def run_once(root, command, workload, seed, seconds):
+        runs.append((root.name, workload, seed))
+        value = {"value": float(len(runs))}
+        return {
+            "correct": True, "attempted": 1, "failed": 0,
+            "metrics": {"setup_s": value, "peak_rss_mb": value, "round_s": value},
+        }
+
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text()
+    )
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    argv = [
+        "bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+        "--pr", "26", "--pairs", "3", "--title", "t", "--parent-sha", "0",
+    ]
+    monkeypatch.setattr(bench_pairs.sys, "argv", argv)
+    assert bench_pairs.main() == 0
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    sides = ["parent", "change", "change", "parent", "parent", "change"]
+    assert runs == [(side, w, 2600) for w in workloads for side in sides]
+    written = json.loads((tmp_path / "BENCH_26.json").read_text())
+    for w in workloads:
+        assert written["workloads"][w]["pairs"] == 3
+        assert written["workloads"][w]["seed"] == 2600

@@ -106,6 +106,61 @@ def test_parse_refuses_a_line_of_only_commas(tmp_path, capsys):
         assert err.splitlines() == [f"error: {where}"]
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
+)
+def test_parse_names_an_integer_past_the_digit_limit(tmp_path, capsys):
+    # int() refuses an integer string past the limit; the token is an
+    # integer, so it is reported as too long, not as non-integer
+    limit = sys.get_int_max_str_digits()
+    digits = "1" * (limit + 700)
+    for text, where in (
+        (f"0 0\n{digits} 0\n", f"line 2: coordinate longer than {limit} digits"),
+        (f"0 0\n1 -{digits}\n", f"line 2: coordinate longer than {limit} digits"),
+        (f"dim {digits}\n", f"line 1: dimension longer than {limit} digits"),
+    ):
+        with pytest.raises(ParseError) as raised:
+            parse_point_set(text)
+        assert str(raised.value) == where
+        f = tmp_path / "long.pts"
+        f.write_text(text, encoding="ascii")
+        code, out, err = run_cli(capsys, "boundary", "--input", str(f))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {where}"]
+    # at the limit the integer is read
+    assert parse_point_set(f"{'1' * limit} 0\n").dim == 2
+
+
+def test_parse_errors_echo_only_the_start_of_a_long_line(tmp_path, capsys):
+    # each bad value is thousands of characters long; the one-line error
+    # names its line and at most the first few dozen characters of it
+    long = "9" * 4000
+    for text, where in (
+        (f"0 0\n{long} x\n", "line 2: non-integer coordinate in '9999"),
+        (f"dim {long}x\n", "line 1: non-integer dimension in 'dim 9999"),
+        (f"0\n{long}\u0663\n", "line 2: non-integer coordinate in '9999"),
+        (f"0\n,{long}\u2003,\n", "line 2: non-integer coordinate in ',9999"),
+        (f"{long} 0\n{long} 0\n", "line 2: duplicate point (9999"),
+    ):
+        with pytest.raises(ParseError) as raised:
+            parse_point_set(text)
+        message = str(raised.value)
+        assert message.startswith(where) and len(message) < 100
+        f = tmp_path / "long.pts"
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "boundary", "--input", str(f))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {message}"]
+    for doc in (
+        {"kind": "x" * 4000},
+        {"kind": "search_report", "dimension": "y" * 4000},
+    ):
+        text = json.dumps({"schema": "kinglattice.report/1", **doc})
+        with pytest.raises(ParseError) as raised:
+            parse_report(text)
+        assert len(str(raised.value)) < 100
+
+
 def test_parse_duplicate_reports_line():
     with pytest.raises(ParseError, match="line 2"):
         parse_point_set("0 0\n0 0\n")

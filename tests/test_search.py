@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -229,9 +230,40 @@ def test_survey_refuses_a_bad_cap_before_any_search(monkeypatch):
     def searched(*args, **kwargs):
         raise AssertionError("searched with a refused cap")
 
-    monkeypatch.setattr(kinglattice.search, "min_edge_boundary", searched)
+    # the survey runs the DP on its one chain, not min_edge_boundary
+    monkeypatch.setattr(kinglattice.search._LayerChain, "optimal_sets", searched)
     with pytest.raises(ValueError, match="max_sets must be >= 1, got 0"):
         survey_gap_free_optima(2, 3, max_sets=0)
+
+
+@pytest.mark.parametrize("n,k", [(3, 12), (4, 8)])
+def test_search_frees_the_dp_before_the_witness_checks(monkeypatch, n, k):
+    # the layer tables, and the DP's own copies of the tying sets, are gone
+    # by the time the first witness goes through both boundary routes
+    chains, tying, checked = [], [], []
+    optimal_sets = kinglattice.search._LayerChain.optimal_sets
+    checked_report = kinglattice.search._checked_report
+    verify = kinglattice.search._verify_candidate
+
+    def recorded(self, size):
+        chains.append(weakref.ref(self))
+        return optimal_sets(self, size)
+
+    def reporting(*args):
+        assert len(chains) == 1 and chains[0]() is None, "tables alive at the checks"
+        tying.append(args[4])
+        return checked_report(*args)
+
+    def checking(ps):
+        assert tying == [[]], "the DP's sets alive at the checks"
+        checked.append(ps)
+        return verify(ps)
+
+    monkeypatch.setattr(kinglattice.search._LayerChain, "optimal_sets", recorded)
+    monkeypatch.setattr(kinglattice.search, "_checked_report", reporting)
+    monkeypatch.setattr(kinglattice.search, "_verify_candidate", checking)
+    report = min_edge_boundary(n, k)
+    assert checked == list(report.witnesses) and checked
 
 
 def test_neighbourhoods_are_built_only_for_layer_points():

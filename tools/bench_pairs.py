@@ -6,12 +6,17 @@
 PARENT and CHANGE are exported source trees of the two commits, each made
 by ``git archive <rev> | tar -x -C <dir>``, so each side runs its own
 ``perfbench/`` and ``src/``.  For every workload that CHANGE's
-BENCHMARK.json declares, pair i = 1..P runs the declared command with
-``--workload W --seed <100 N + i> --seconds S --trace 0`` once in each
-tree, where S is that file's ``run_seconds``, so every BENCH file is made
-from runs of the declared length.  The parent goes first in odd pairs and
-the change first in even ones, so a drift of the host's speed does not
-favour one side.  Runs go one at a time.
+BENCHMARK.json declares, each of the P pairs runs the declared command with
+``--workload W --seed <100 N> --seconds S --trace 0`` once in each tree,
+where S is that file's ``run_seconds``, so every BENCH file is made from
+runs of the declared length.  Every run of a BENCH file has the same seed:
+the seed draws given-sets' random sets, whose peak memory differs from
+seed to seed by more than ``peak_rss_mb``'s 0.1 MB bound (runs of one seed
+read 23.99, 24.04 and 24.00 MB, of seeds 2602 and 2603 24.20 and
+24.03 MB), so pairs on different seeds spread the parent's quartiles past
+that bound.  The parent goes first in odd pairs and the change first in
+even ones, so a drift of the host's speed does not favour one side.  Runs
+go one at a time.
 
 Export both sides to paths of equal length, such as ``bench/parent`` and
 ``bench/change``.  ``peak_rss_mb`` moves with the length of the checkout's
@@ -86,15 +91,16 @@ def run_workload(
     roots: dict[str, Path],
     command: list[str],
     workload: str,
-    seeds: list[int],
+    seed: int,
+    pairs: int,
     seconds: float,
     metrics: dict[str, str],
 ) -> dict:
-    """The workload's entry: P pairs of runs, one seed each, sides alternating."""
+    """The workload's entry: ``pairs`` pairs of runs on one seed, sides alternating."""
     results: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for i, seed in enumerate(seeds):
+    for i in range(pairs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            print(f"{workload} seed {seed}: {side}", file=sys.stderr, flush=True)
+            print(f"{workload} pair {i + 1}: {side}", file=sys.stderr, flush=True)
             result = run_once(roots[side], command, workload, seed, seconds)
             results[side].append(result)
     runs = {
@@ -105,8 +111,8 @@ def run_workload(
         for side in SIDES
     }
     return {
-        "pairs": len(seeds),
-        "seeds": seeds,
+        "pairs": pairs,
+        "seed": seed,
         "all_correct": all(r["correct"] for side in SIDES for r in results[side]),
         "attempted": {side: sum(r["attempted"] for r in results[side]) for side in SIDES},
         "failed": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
@@ -219,10 +225,11 @@ def main() -> int:
             parser.error(f"--claim must be one of {names} : one of {lower}")
         claim = {"workload": workload, "metric": metric, "better": "lower"}
 
-    seeds = [100 * args.pr + i for i in range(1, args.pairs + 1)]
+    seed = 100 * args.pr
     workloads = {
         w["name"]: run_workload(
-            roots, bench["command"], w["name"], seeds, bench["run_seconds"], metrics
+            roots, bench["command"], w["name"], seed, args.pairs,
+            bench["run_seconds"], metrics,
         )
         for w in bench["workloads"]
     }
@@ -235,10 +242,10 @@ def main() -> int:
         "cpu_count": os.cpu_count(),
         "cpu_model": cpu_model(),
         "command": " ".join(bench["command"])
-        + f" --workload W --seed S --seconds {bench['run_seconds']:g} --trace 0,"
+        + f" --workload W --seed {seed} --seconds {bench['run_seconds']:g} --trace 0,"
         " run from an export of each side",
         "method": "alternating parent/change pairs (odd pairs parent first, even pairs "
-        "change first), one seed per pair; quartiles by "
+        "change first), one seed for every run; quartiles by "
         "statistics.quantiles(method='inclusive') over the pairs' run values; "
         "written by tools/bench_pairs.py",
         "claim": claim,

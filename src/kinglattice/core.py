@@ -184,6 +184,15 @@ class PointSet:
             raise ValueError(f"point {bad} does not have dimension {self.dim}")
 
     @classmethod
+    def _unchecked(cls, dim: int, points: frozenset[Point]) -> "PointSet":
+        """A PointSet built without the dimension check, for points that are
+        already known to have dimension ``dim``."""
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "dim", dim)
+        object.__setattr__(ps, "points", points)
+        return ps
+
+    @classmethod
     def of(cls, points: Iterable[Iterable[int]], dim: int | None = None) -> "PointSet":
         """Build from any iterable of coordinate sequences, inferring dim.
 
@@ -210,7 +219,7 @@ class PointSet:
         off = tuple(map(_integer, offset))
         if len(off) != self.dim:
             raise ValueError(f"offset {off} does not have dimension {self.dim}")
-        return PointSet(
+        return PointSet._unchecked(
             self.dim,
             frozenset(tuple(a + b for a, b in zip(p, off)) for p in self.points),
         )

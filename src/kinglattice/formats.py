@@ -339,6 +339,8 @@ def render_grid(ps: PointSet, mode: str = "ascii", max_extent: int = 100) -> str
     increasing upward.  SVG mode gives the same picture as a standalone
     document, set points blue and neighbors red.
     """
+    if max_extent < 1:
+        raise ValueError(f"max_extent must be >= 1, got {max_extent}")
     if ps.dim != 2:
         raise ValueError(f"can only render dimension 2, got {ps.dim}")
     if not ps.points:

@@ -18,7 +18,7 @@ import random
 import sys
 from dataclasses import dataclass
 from bisect import bisect_left
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -235,8 +235,10 @@ class _LayerChain:
         family before the walk reaches it.  From layers A and B with r points
         left it takes the steps ``keep(A, B, r)`` lists, if given, or else
         every step ``steps`` finds in the pool of the state before.  A
-        layer on the walk's path is lifted to its height once, when the walk
-        reaches it, and every set below it reuses those points.
+        layer on the walk's path is lifted to its height once, into a
+        frozenset, when the walk reaches it.  Every set below it is the last
+        layer's points merged with those frozensets, whose stored hashes are
+        copied, so only the last layer's points are hashed per set.
 
         The one-point layer 0 has no sub-layer but itself, so a chain that
         reaches it with r points to place, its own included, is forced to
@@ -245,12 +247,14 @@ class _LayerChain:
         origin lifted to every depth, built the first time layer 0 is
         reached.  ``keep`` could only have listed layer 0 there, so it is not
         asked.  Beyond the layer tables the walk holds O(k) points: one
-        lifted layer per depth and that column.
+        lifted frozenset per depth and that column.  It keeps no frozenset of
+        each path prefix, which would spare the merge at a leaf but hold
+        O(k^2) points on a long chain of wide layers.
         """
         points, size = self.points, self.size
         # rises[m] repeats the (y,) that lifts a layer at depth m + 1 to height y
         rises = [repeat(((m + 1) // 2 if m % 2 else -(m // 2),)) for m in range(k)]
-        lifted: list[list[Point]] = []  # the layers on the path, lifted
+        lifted: list[frozenset[Point]] = []  # the layers above the current one
         column: list[Point] = []  # layer 0, the one point, lifted at every depth
         for first in firsts:
             # (depth, layer before it, layer, points left before it, its pool)
@@ -261,14 +265,14 @@ class _LayerChain:
                 if b == 0:  # its only sub-layer is itself: the rest is forced
                     if not column:  # layer 0 exists once the walk reaches it
                         column = [points[0][0] + next(y) for y in rises]
-                    lifted.append(column[depth : depth + r])
-                    yield frozenset(chain.from_iterable(lifted))
+                    yield frozenset(column[depth : depth + r]).union(*lifted)
                     continue
                 r -= size[b]
-                lifted.append(list(map(add, points[b], rises[depth])))
+                here = frozenset(map(add, points[b], rises[depth]))
                 if r == 0:
-                    yield frozenset(chain.from_iterable(lifted))
+                    yield here.union(*lifted)
                     continue
+                lifted.append(here)
                 subs = self.steps(b, r, pool) if keep is None else keep(a, b, r)
                 todo.extend(
                     zip(repeat(depth + 1), repeat(b), subs, repeat(r), repeat(subs))
@@ -395,7 +399,9 @@ def enumerate_compressed_sets(
     set is stacked from the lifted layers on the walk's path, so beyond the
     layer tables the walk holds O(k) points however long its chains.  A
     chain that reaches the one-point layer can only repeat it, so that tail
-    is yielded as one column over the origin, not walked layer by layer.  The
+    is yielded as one column over the origin, not walked layer by layer.
+    Every point is built with n coordinates, so the sets are checked by
+    construction and wrapped without the constructor's re-check.  The
     order is deterministic but not promised: it may change between versions.
     No two sets are translates of each other, and all coordinates stay
     within ceil(k/2) + 1 of the origin.
@@ -407,7 +413,7 @@ def enumerate_compressed_sets(
         for count, pts in enumerate(chains.walk(k, firsts), start=1):
             if count > max_sets:
                 raise EnumerationOverflowError
-            yield PointSet(n, pts)
+            yield PointSet._unchecked(n, pts)
     except EnumerationOverflowError:
         raise _overflow(n, k, max_sets) from None
 

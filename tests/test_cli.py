@@ -1006,6 +1006,17 @@ def test_cli_render_dimension_error(tmp_path, capsys):
     assert "dimension" in err
 
 
+@pytest.mark.parametrize("extent", ["0", "-5"])
+def test_cli_render_refuses_an_extent_below_one(tmp_path, capsys, extent):
+    # refused before the box is measured, not as a box too large for the limit
+    f = tmp_path / "r.pts"
+    f.write_text("0 0\n1 1\n")
+    code, out, err = run_cli(capsys, "render", "--input", str(f), "--max-extent", extent)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: max_extent must be >= 1, got {extent}\n"
+
+
 def test_cli_selftest(capsys):
     code, out, err = run_cli(capsys, "selftest", "--sets", "30", "--seed", "5")
     assert code == 0

@@ -102,6 +102,17 @@ def test_pointset_validates_dimension():
         PointSet(2, frozenset({(1, 2, 3)}))
 
 
+def test_unchecked_pointset_equals_the_checked_one():
+    points = frozenset({(0, 0), (1, -2), (3, 4)})
+    fast, checked = PointSet._unchecked(2, points), PointSet(2, points)
+    assert fast == checked and hash(fast) == hash(checked)
+    assert repr(fast) == repr(checked) and list(fast) == list(checked)
+    assert fast.translate((1, 1)) == checked.translate((1, 1))
+    # the public constructor still checks every point
+    with pytest.raises(ValueError, match=r"point \(1, 2, 3\) does not have dimension 2"):
+        PointSet(2, {(1, 2, 3)})
+
+
 @pytest.mark.parametrize(
     "points, bad",
     [

@@ -396,9 +396,14 @@ def test_walk_equals_the_walk_without_shortcut(n, k):
     chain = kinglattice.search._LayerChain(n, 10**6)
     firsts = (a for s in range(1, k + 1) for a in chain.family(s))
     expected = list(reference_walk(chain, k, firsts))
-    yielded = [ps.points for ps in enumerate_compressed_sets(n, k)]
-    assert yielded == expected
-    assert len(yielded) == count_compressed_sets(n, k)
+    sets = list(enumerate_compressed_sets(n, k))
+    assert [ps.points for ps in sets] == expected
+    assert len(sets) == count_compressed_sets(n, k)
+    # the sets skip the constructor's dimension check; it would accept them
+    for ps in sets:
+        checked = PointSet(n, ps.points)
+        assert ps == checked and hash(ps) == hash(checked)
+        assert repr(ps) == repr(checked)
 
 
 @pytest.mark.parametrize("n,k,tail", [(2, 24, False), (3, 12, False), (2, 11, True)])

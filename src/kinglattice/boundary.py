@@ -23,14 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby, product, starmap
-from operator import add, itemgetter, sub
+from operator import add, methodcaller, sub
 
 from .core import (
     Direction,
     Point,
     PointSet,
     _columns,
-    _direction_pairs,
     _line_classes,
     _line_positions,
     _line_table,
@@ -93,14 +92,8 @@ def gap_set(ps: PointSet, d: Direction) -> frozenset[Point]:
     between a section's extremes, so only consecutive position pairs with a
     jump of at least 2 contribute.
     """
-    return _gap_points(_line_positions(ps, d), d)
-
-
-def _gap_points(classes: dict[Point, list[int]], d: Direction) -> frozenset[Point]:
-    """``gap_set`` along d from the set's lines along d, as ``_line_classes``
-    gives them: bases to unsorted positions, which are sorted in place."""
     out: set[Point] = set()
-    for base, ts in classes.items():
+    for base, ts in _line_positions(ps, d).items():
         ts.sort()
         for a, b in zip(ts, ts[1:]):
             if b - a >= 2:
@@ -128,11 +121,14 @@ class BoundaryBreakdown:
 def edge_boundary_formula(ps: PointSet) -> BoundaryBreakdown:
     """Edge boundary as the directionwise sum of line counts and gap counts."""
     steps = _steps(ps.dim)  # checks the dimension before any column is built
+    half = len(steps) // 2
     columns = _columns(ps)
     counts: list[tuple[int, int]] = []
-    for j, pairs in groupby(_direction_pairs(ps.dim), itemgetter(2)):
+    # the upper half of steps holds the d whose first nonzero entry is +1,
+    # grouped by that axis j from n - 1 down to 0; -d cuts the same lines
+    for j, ds in groupby(steps[half:], methodcaller("index", 1)):
         table = _line_table(columns, j)
-        for d, _, _ in pairs:
+        for d in ds:
             classes = _line_classes(table, d, j)
             gaps = 0
             for ts in classes.values():
@@ -140,8 +136,8 @@ def edge_boundary_formula(ps: PointSet) -> BoundaryBreakdown:
                     ts.sort()
                     gaps += sum(map((2).__le__, map(sub, ts[1:], ts)))
             counts.append((len(classes), gaps))
-    # the pairs' d are the second half of steps, in order, and each -d sits
-    # at the mirror place in the first half: one dict insert per direction
+    # each -d sits at the mirror place of d in the first half of steps: one
+    # dict insert per direction
     per = dict(zip(steps, counts[::-1] + counts))
     return BoundaryBreakdown(per, 2 * sum(map(sum, counts)))
 

@@ -11,15 +11,14 @@ from __future__ import annotations
 import gc
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import lru_cache
 from operator import add, countOf, getitem, index, neg, sub
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Iterable, Iterator
 
 Point = tuple[int, ...]
 Direction = tuple[int, ...]
 Column = tuple[int, ...]  # one coordinate of every point of a set
 LineTable = list[tuple[Column, ...]]
-_T = TypeVar("_T")
 
 MAX_DIMENSION = 12
 _STEP_ENTRIES = frozenset((-1, 0, 1))
@@ -30,42 +29,35 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {n}")
 
 
-def _collector_paused(build: Callable[[int], _T]) -> Callable[[int], _T]:
-    """``build`` run with the cyclic collector paused, and resumed only if it was on.
-
-    Step tables hold only tuples of ints, which make no cycles; at n = 12 the
-    collector's passes over their new tuples took most of the build time.
-    """
-
-    @wraps(build)
-    def paused(n: int) -> _T:
-        was_on = gc.isenabled()
-        gc.disable()
-        try:
-            return build(n)
-        finally:
-            if was_on:
-                gc.enable()
-
-    return paused
-
-
 @lru_cache(maxsize=None)
-@_collector_paused
 def _closed_steps(m: int) -> tuple[Direction, ...]:
     """All of {-1,0,1}^m, zero step included, in lexicographic order; m >= 0.
 
     The one table of king steps: p plus each entry is p's closed king
     neighbourhood N[p], and ``_steps`` is this table without the zero step.
+    It is built with the cyclic collector paused, and resumed only if it was
+    on: the table holds only tuples of ints, which make no cycles, and at
+    m = 12 the collector's passes over its new tuples took most of the build.
     """
-    return tuple(itertools.product((-1, 0, 1), repeat=m))
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        return tuple(itertools.product((-1, 0, 1), repeat=m))
+    finally:
+        if was_on:
+            gc.enable()
 
 
 @lru_cache(maxsize=None)
-@_collector_paused
 def _steps(n: int) -> tuple[Direction, ...]:
+    """``_closed_steps(n)`` without the zero step.
+
+    Negation reverses the lexicographic order, so the second half holds the
+    d whose first nonzero entry is +1, in order, and each -d sits at the
+    mirror place in the first half.
+    """
     _check_dimension(n)
-    return tuple(d for d in _closed_steps(n) if any(d))
+    return tuple(filter(any, _closed_steps(n)))
 
 
 def directions(n: int) -> list[Direction]:
@@ -73,22 +65,6 @@ def directions(n: int) -> list[Direction]:
 
     Dimensions above MAX_DIMENSION = 12 (531 440 steps) raise ValueError."""
     return list(_steps(n))
-
-
-@lru_cache(maxsize=None)
-@_collector_paused
-def _direction_pairs(n: int) -> tuple[tuple[Direction, Direction, int], ...]:
-    """Each direction d whose first nonzero entry is +1, with -d and that axis.
-
-    d and -d slice a set into the same lines, so callers that only count
-    lines and gaps visit each of these (3^n - 1) / 2 pairs once.  Negation
-    reverses the lexicographic order of ``_steps(n)``, so its second half
-    holds these d in order and each -d sits at the mirror place.
-    """
-    steps = _steps(n)
-    half = len(steps) // 2
-    mirrored = zip(steps[half:], reversed(steps[:half]))
-    return tuple((d, r, d.index(1)) for d, r in mirrored)
 
 
 def _integer(v: Any) -> int:
@@ -170,7 +146,9 @@ class PointSet:
 
     The dimension is carried separately so that the empty set in Z^2 is
     distinct from the empty set in Z^3.  Iteration is always in sorted
-    order, so anything derived from a PointSet is reproducible.
+    order, so anything derived from a PointSet is reproducible.  Every
+    coordinate must be an int (bools included); ``of`` converts any integer
+    type, such as one with ``__index__``.
     """
 
     dim: int
@@ -182,11 +160,15 @@ class PointSet:
         if countOf(map(len, self.points), self.dim) != len(self.points):
             bad = next(p for p in self.points if len(p) != self.dim)
             raise ValueError(f"point {bad} does not have dimension {self.dim}")
+        coords = itertools.chain.from_iterable
+        if not all(map(isinstance, coords(self.points), itertools.repeat(int))):
+            bad = next(v for v in coords(self.points) if not isinstance(v, int))
+            raise ValueError(f"coordinate {bad!r} is not an int")
 
     @classmethod
     def _unchecked(cls, dim: int, points: frozenset[Point]) -> "PointSet":
-        """A PointSet built without the dimension check, for points that are
-        already known to have dimension ``dim``."""
+        """A PointSet built without the constructor's checks, for points that
+        are already known to have dimension ``dim`` and int coordinates."""
         ps = object.__new__(cls)
         object.__setattr__(ps, "dim", dim)
         object.__setattr__(ps, "points", points)

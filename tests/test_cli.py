@@ -1035,34 +1035,33 @@ def test_cli_selftest_checks_each_direction_pair_once(capsys, monkeypatch):
 
         monkeypatch.setattr(kinglattice.cli, name, call)
 
-    counted("_gap_points", lambda args: args[1])  # the direction
-    counted("_columns", lambda args: "columns")
-    counted("_line_table", lambda args: "table")
+    counted("edge_boundary_formula", lambda args: "formula")
+    counted("gap_set", lambda args: args[1])  # the direction
     code, out, err = run_cli(capsys, "selftest", "--sets", "9", "--seed", "5")
     assert code == 0
     calls = Counter(calls)
-    # the columns once per set, and a line table once per first nonzero axis:
-    # trial t is in dimension 1 + t % 3
-    tables = sum(1 + t % 3 for t in range(9))
-    assert (calls.pop("columns"), calls.pop("table")) == (9, tables)
-    # trial t has (3^dim - 1) / 2 pairs of d, -d
-    assert sum(calls.values()) == sum(3 ** (1 + t % 3) - 1 for t in range(9))
-    # each direction of each dimension, d and -d alike, once per trial
+    # one breakdown per set, whose counts the gap check reads
+    assert calls.pop("formula") == 9
+    # trial t, in dimension 1 + t % 3, has (3^dim - 1) / 2 pairs of d, -d,
+    # and gap_set reads only the -d, whose first nonzero entry is -1
+    assert sum(calls.values()) == sum((3 ** (1 + t % 3) - 1) // 2 for t in range(9))
+    assert all(next(s for s in d if s) == -1 for d in calls)
+    # each such direction of each dimension once per trial
     assert set(calls.values()) == {3}
 
 
 def test_cli_selftest_still_catches_gap_asymmetry(capsys, monkeypatch):
-    real = kinglattice.cli._gap_points
+    real = kinglattice.cli.gap_set
 
-    def lopsided(classes, d):
+    def lopsided(ps, d):
         first = next(s for s in d if s)
-        return real(classes, d) | {("extra",)} if first == -1 else real(classes, d)
+        return real(ps, d) | {("extra",)} if first == -1 else real(ps, d)
 
-    monkeypatch.setattr(kinglattice.cli, "_gap_points", lopsided)
+    monkeypatch.setattr(kinglattice.cli, "gap_set", lopsided)
     code, out, err = run_cli(capsys, "selftest", "--sets", "3", "--seed", "5")
     assert code == 2
     assert "3 random sets checked, " in out
-    assert "GAP ASYMMETRY dim=1 k=1 trial=0 d=(1,)" in err
+    assert "GAP ASYMMETRY dim=1 k=1 trial=0 d=(-1,)" in err
 
 
 def overcount_direct(monkeypatch):

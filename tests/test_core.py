@@ -16,7 +16,7 @@ from kinglattice import (
     neighbors,
     projection_count,
 )
-from kinglattice.core import MAX_DIMENSION, _closed_steps, _direction_pairs, _steps
+from kinglattice.core import MAX_DIMENSION, _closed_steps, _steps
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.tuples(coords, coords, coords)
@@ -139,8 +139,9 @@ def test_step_tables_pause_the_collector_and_restore_it(was_on):
         gc.disable()
     gc.callbacks.append(count)
     try:
-        # uncached builds; 3^9 new tuples are dozens of collections unpaused
-        for table in (_closed_steps, _steps, _direction_pairs):
+        # uncached builds; 3^9 new tuples are dozens of collections unpaused,
+        # and _steps keeps _closed_steps' tuples without making new ones
+        for table in (_closed_steps, _steps):
             table.__wrapped__(9)
             assert gc.isenabled() is was_on
         with pytest.raises(ValueError):
@@ -184,6 +185,17 @@ def test_pointset_of_and_translate_refuse_non_integers(bad):
         PointSet.of([(0, 0), (bad, 0)])
     with pytest.raises(ValueError, match=f"non-integer coordinate {bad!r}"):
         PointSet.of([(0, 0)]).translate((bad, 0))
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", None, _Index(3)])
+def test_pointset_refuses_coordinates_that_are_not_ints(bad):
+    # a float point used to pass, then break the direct route with a TypeError
+    # while the formula route summed it
+    with pytest.raises(ValueError) as info:
+        PointSet(2, frozenset({(bad, 2), (0, 0)}))
+    assert str(info.value) == f"coordinate {bad!r} is not an int"
+    ps = PointSet(2, frozenset({(True, 2), (0, False)}))  # bools are ints
+    assert ps.translate((1, 1)).points == frozenset({(2, 3), (1, 1)})
 
 
 def test_pointset_of_and_translate_take_any_integer_type():
@@ -284,17 +296,6 @@ def test_line_sections_rejects_bad_directions():
                 call((1, 2) if call is line_base else ps, d)
     with pytest.raises(ValueError, match="does not have dimension 3"):
         line_base((1, 2, 3), (1, 0))
-
-
-def test_direction_pairs_match_their_definition():
-    # the definition, without the mirrored halves of the step table
-    for n in range(1, 10):
-        pairs = []
-        for d in directions(n):
-            j = next(i for i, s in enumerate(d) if s)
-            if d[j] == 1:
-                pairs.append((d, tuple(-s for s in d), j))
-        assert _direction_pairs(n) == tuple(pairs), n
 
 
 def test_runs_counts_maximal_blocks():

@@ -1,4 +1,5 @@
-"""No module of the package imports a name that it never uses.
+"""No module of the package imports a name that it never uses, and the CLI
+imports only public names of the package.
 
 A stdlib ``ast`` check standing in for a linter's unused-import rule: a
 name bound by an import counts as used if the module reads it anywhere or
@@ -59,3 +60,33 @@ def test_the_check_finds_an_unused_import():
     )
     bound = imported_names(tree)
     assert sorted(n for n in bound if n not in used_names(tree)) == ["os"]
+
+
+def private_package_imports(tree: ast.Module) -> list[str]:
+    """Each import of an underscore-prefixed name from the package."""
+    return [
+        f"from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").partition(".")[0] == "kinglattice")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_cli_imports_only_public_names():
+    # the CLI is a thin layer over the library's public surface
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert private_package_imports(tree) == []
+
+
+def test_the_check_finds_a_private_import():
+    tree = ast.parse(
+        "from .core import PointSet, _steps\nfrom kinglattice.boundary import _x\n"
+        "from os import _exit\nfrom . import _private\n"
+    )
+    assert private_package_imports(tree) == [
+        "from .core import _steps",
+        "from kinglattice.boundary import _x",
+        "from . import _private",
+    ]

@@ -38,7 +38,7 @@ def central_compress(ps: PointSet, axis: int) -> PointSet:
         for rest, size in sections.items()
         for x in canonical_segment(size)
     )
-    return PointSet(ps.dim, out)
+    return PointSet._unchecked(ps.dim, out)
 
 
 def potential(ps: PointSet) -> tuple[int, int]:

@@ -116,9 +116,9 @@ class _LayerChain:
     cross grow along the removals: E(L) = E(L - {p}) + |N(p) ∩ L| and
     cross(A, C) = cross(A, C - {p}) + |N[p] ∩ A|.  C - {p}, C's parent in
     ``removal``, is inside C ⊆ B and smaller, so for a step C of (B, r) it
-    is -1, the empty layer, or an earlier step, and ``crosses`` finds every
-    step's cross in one pass that keeps nothing.  ``walk`` is the one place
-    that stacks a chain into its set in Z^n.
+    is -1, the empty layer, or an earlier step.  ``totals``, the one reader
+    of f, finds every step's cross in one pass that keeps nothing and adds
+    its gain.  ``walk`` alone stacks a chain into its PointSet in Z^n.
 
     Layers are bit masks over a table of cells.  Each point of Z^(n-1) gets
     the next cell number i, and the bit 1 << i, the first time a layer
@@ -138,7 +138,6 @@ class _LayerChain:
         self.n, self.cap = n, cap
         self.points: list[tuple[Point, ...]] = []
         self.masks: list[int] = []
-        self.size: list[int] = []
         self.edges: list[int] = []
         self.removal: list[tuple[int, int]] = []  # (id of L - {p}, p's cell); -1 is {}
         self._starts = [0]  # ids of size s are range(_starts[s - 1], _starts[s])
@@ -154,12 +153,12 @@ class _LayerChain:
     def family(self, s: int) -> range:
         """Ids of the size-s layers; raises EnumerationOverflowError past the cap."""
         while len(self._starts) <= s:
-            self._add_size(len(self._starts))
+            self._add_size()
         return range(self._starts[s - 1], self._starts[s])
 
-    def _add_size(self, s: int) -> None:
-        """Build the size-s layers, and their fringe, in one pass over the
-        fringe of size s - 1; refuse a family of more than ``cap`` layers."""
+    def _add_size(self) -> None:
+        """Build the layers one point larger than the largest built, and their
+        fringe, in one pass over its fringe; refuse more than ``cap`` layers."""
         bits, closed, zeros = self._bits, self.closed, repeat(0)
         points, edges = self.points, self.edges
         fringe: dict[int, _Fringe] = {}
@@ -182,7 +181,6 @@ class _LayerChain:
                 fringe[mask] = len(points), minimal
                 points.append(kept + (p,))
                 self.masks.append(mask)
-                self.size.append(s)
                 edges.append(base + (mask & closed[i]).bit_count() - 1)
                 self.removal.append((rest, i))
         self._fringe = fringe
@@ -219,14 +217,14 @@ class _LayerChain:
         that holds them all."""
         masks = self.masks
         outside = ~masks[b]
-        cut = bisect_left(pool, self._starts[min(r, self.size[b])])
+        cut = bisect_left(pool, self._starts[min(r, len(self.points[b]))])
         return [c for c in pool[:cut] if not masks[c] & outside]
 
     def walk(
         self, k: int, firsts: Iterable[int], keep: Callable[..., list] | None = None
-    ) -> Iterator[frozenset[Point]]:
+    ) -> Iterator[PointSet]:
         """Each set in Z^n stacked from a chain of layers with k points in
-        all, first layer from ``firsts``.
+        all, first layer from ``firsts``, as a PointSet.
 
         Depth m = 1, 2, 3, ... sits at height 0, 1, -1, 2, -2, ...; a section
         through the stack meets exactly the layers holding its column, so
@@ -238,7 +236,8 @@ class _LayerChain:
         layer on the walk's path is lifted to its height once, into a
         frozenset, when the walk reaches it.  Every set below it is the last
         layer's points merged with those frozensets, whose stored hashes are
-        copied, so only the last layer's points are hashed per set.
+        copied, so only the last layer's points are hashed per set; with n
+        int coordinates per point, each set is wrapped unchecked, once.
 
         The one-point layer 0 has no sub-layer but itself, so a chain that
         reaches it with r points to place, its own included, is forced to
@@ -251,7 +250,7 @@ class _LayerChain:
         each path prefix, which would spare the merge at a leaf but hold
         O(k^2) points on a long chain of wide layers.
         """
-        points, size = self.points, self.size
+        n, points = self.n, self.points
         # rises[m] repeats the (y,) that lifts a layer at depth m + 1 to height y
         rises = [repeat(((m + 1) // 2 if m % 2 else -(m // 2),)) for m in range(k)]
         lifted: list[frozenset[Point]] = []  # the layers above the current one
@@ -265,12 +264,12 @@ class _LayerChain:
                 if b == 0:  # its only sub-layer is itself: the rest is forced
                     if not column:  # layer 0 exists once the walk reaches it
                         column = [points[0][0] + next(y) for y in rises]
-                    yield frozenset(column[depth : depth + r]).union(*lifted)
-                    continue
-                r -= size[b]
-                here = frozenset(map(add, points[b], rises[depth]))
+                    here, r = frozenset(column[depth : depth + r]), 0
+                else:
+                    r -= len(points[b])
+                    here = frozenset(map(add, points[b], rises[depth]))
                 if r == 0:
-                    yield here.union(*lifted)
+                    yield PointSet._unchecked(n, here.union(*lifted))
                     continue
                 lifted.append(here)
                 subs = self.steps(b, r, pool) if keep is None else keep(a, b, r)
@@ -292,8 +291,8 @@ class _LayerChain:
         the k one-point layers of a segment in Z^1, uses no Python frames.
         Children have fewer points left, so no cycles.
         """
-        states, size, cap = self._states, self.size, self.cap
-        todo = [((b, r), range(len(self.points)), None)]
+        states, points, cap = self._states, self.points, self.cap
+        todo = [((b, r), range(len(points)), None)]
         while todo:
             state, pool, subs = todo[-1]
             if state in states:  # pushed again before it was settled
@@ -302,14 +301,15 @@ class _LayerChain:
             b, r = state
             if subs is None:
                 subs = self.steps(b, r, pool)
-                kids = ((c, r - size[c]) for c in subs if r > size[c])
+                kids = ((c, r - len(points[c])) for c in subs if r > len(points[c]))
                 missing = [(kid, subs, None) for kid in kids if kid not in states]
                 if missing:
                     todo[-1] = (state, pool, subs)
                     todo.extend(missing)
                     continue
             todo.pop()
-            ways = sum(states[c, r - size[c]][0] if r > size[c] else 1 for c in subs)
+            after = ((c, r - len(points[c])) for c in subs)
+            ways = sum(states[c, left][0] if left else 1 for c, left in after)
             states[state] = [min(ways, cap + 1), subs, None]
         return states[b, r][0]
 
@@ -327,21 +327,18 @@ class _LayerChain:
             raise _overflow(self.n, k, self.cap) from None
         return total
 
-    def crosses(self, a: int, steps: list[int]) -> list[int]:
-        """cross(A, C) for each C of a state's ``steps``, in order."""
+    def totals(self, a: int, b: int, r: int) -> list[int]:
+        """cross(A, C) + gain for each step C of the settled state (B, r), in
+        step order, after layer A; f(A, B, r) is the largest."""
+        _, steps, gains = self._states[b, r]
         inside, closed, removal = self.masks[a], self.closed, self.removal
         got = {-1: 0}
         for c in steps:
             rest, i = removal[c]
             got[c] = got[rest] + (inside & closed[i]).bit_count()
-        del got[-1]
-        return list(got.values())
+        return list(map(add, islice(got.values(), 1, None), gains))
 
-    def best(self, a: int, steps: list[int], gains: list[int]) -> int:
-        """f(A, B, r) from (B, r)'s steps and gains: max of cross(A, C) + gain."""
-        return max(map(add, self.crosses(a, steps), gains), default=0)
-
-    def optimal_sets(self, k: int) -> tuple[int, int, list[frozenset[Point]]]:
+    def optimal_sets(self, k: int) -> tuple[int, int, list[PointSet]]:
         """The size-k family's size, its largest E_int, and every set reaching it.
 
         Each state settled since the last call gets its gains, each step's
@@ -350,24 +347,24 @@ class _LayerChain:
         the tops while it takes only the steps that keep to the optimum.
         """
         total = self.family_size(k)
-        states, size, edges, best = self._states, self.size, self.edges, self.best
-        for (b, r), state in islice(states.items(), self._gained, None):
-            state[2] = [
-                edges[c] + (best(b, *states[c, r - size[c]][1:]) if r > size[c] else 0)
-                for c in state[1]
-            ]
-        self._gained = len(states)
-        firsts = []  # by id; ids ascend with size, so all layers of at most k
-        for a in range(self.family(k).stop):
-            r = k - size[a]
-            firsts.append(edges[a] + (best(a, *states[a, r][1:]) if r else 0))
+        points, edges, totals = self.points, self.edges, self.totals
+
+        def gain(b: int, c: int, r: int) -> int:
+            """E(C) + f(B, C, r - |C|) for a step C of the state (B, r)."""
+            left = r - len(points[c])
+            return edges[c] + (max(totals(b, c, left)) if left else 0)
+
+        for (b, r), state in islice(self._states.items(), self._gained, None):
+            state[2] = [gain(b, c, r) for c in state[1]]
+        self._gained = len(self._states)
+        # by id, every layer of at most k (ids ascend with size), after L0 = L1
+        firsts = [gain(a, a, k) for a in range(self.family(k).stop)]
         most = max(firsts)
 
         def on_best(a: int, b: int, r: int) -> list[int]:
-            _, steps, gains = states[b, r]
-            totals = list(map(add, self.crosses(a, steps), gains))
-            top = max(totals)
-            return [c for c, t in zip(steps, totals) if t == top]
+            got = totals(a, b, r)
+            top = max(got)
+            return [c for c, t in zip(self._states[b, r][1], got) if t == top]
 
         tops = [a for a, e in enumerate(firsts) if e == most]
         return total, most, list(self.walk(k, tops, on_best))
@@ -400,9 +397,9 @@ def enumerate_compressed_sets(
     layer tables the walk holds O(k) points however long its chains.  A
     chain that reaches the one-point layer can only repeat it, so that tail
     is yielded as one column over the origin, not walked layer by layer.
-    Every point is built with n coordinates, so the sets are checked by
-    construction and wrapped without the constructor's re-check.  The
-    order is deterministic but not promised: it may change between versions.
+    The walk wraps each set, whose points have n int coordinates, without
+    the constructor's re-check.  The order is deterministic but not
+    promised: it may change between versions.
     No two sets are translates of each other, and all coordinates stay
     within ceil(k/2) + 1 of the origin.
     """
@@ -410,10 +407,10 @@ def enumerate_compressed_sets(
     chains = _LayerChain(n, max_sets)
     firsts = (a for s in range(1, k + 1) for a in chains.family(s))
     try:
-        for count, pts in enumerate(chains.walk(k, firsts), start=1):
+        for count, ps in enumerate(chains.walk(k, firsts), start=1):
             if count > max_sets:
                 raise EnumerationOverflowError
-            yield PointSet._unchecked(n, pts)
+            yield ps
     except EnumerationOverflowError:
         raise _overflow(n, k, max_sets) from None
 
@@ -433,7 +430,7 @@ def random_point_set(
     strides = [math.prod(extents[j + 1 :]) for j in range(n)]
     cells = random.Random(seed).sample(range(total), k)
     pts = (tuple(i // s % w for s, w in zip(strides, extents)) for i in cells)
-    return PointSet(n, frozenset(pts))
+    return PointSet._unchecked(n, frozenset(pts))
 
 
 class WitnessStats(NamedTuple):
@@ -506,12 +503,12 @@ def min_edge_boundary(
 
 
 def _checked_report(
-    n: int, k: int, scanned: int, inside: int, tying: list[frozenset[Point]]
+    n: int, k: int, scanned: int, inside: int, tying: list[PointSet]
 ) -> SearchReport:
     """The report of the DP's family size, E_int and tying sets, once every
     witness, normalized, has passed both routes at the minimum boundary."""
     best = k * (3**n - 1) - 2 * inside
-    witnesses = [PointSet(n, pts).normalized() for pts in tying]
+    witnesses = [ps.normalized() for ps in tying]
     witnesses.sort(key=lambda ps: sorted(ps.points))
     # the call's argument tuple keeps this list alive through the checks, so
     # empty it: of the tying sets only their normalized copies stay

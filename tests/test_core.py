@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from kinglattice import (
     PointSet,
+    central_compress,
     chebyshev_distance,
     delete_coordinate,
     directions,
@@ -15,6 +16,7 @@ from kinglattice import (
     line_sections,
     neighbors,
     projection_count,
+    random_point_set,
 )
 from kinglattice.core import MAX_DIMENSION, _closed_steps, _steps
 
@@ -108,6 +110,17 @@ def test_unchecked_pointset_equals_the_checked_one():
     assert fast == checked and hash(fast) == hash(checked)
     assert repr(fast) == repr(checked) and list(fast) == list(checked)
     assert fast.translate((1, 1)) == checked.translate((1, 1))
+    # compression and random sampling wrap their results unchecked too
+    planar = PointSet(2, frozenset({(3, 1), (3, 2), (7, 2), (-1, 1), (0, 5)}))
+    for made in (
+        central_compress(planar, 1),
+        central_compress(planar, 2),
+        random_point_set(3, 40, (5, 4, 6), seed=3),
+        random_point_set(1, 5, 9, seed=0),
+    ):
+        again = PointSet(made.dim, made.points)
+        assert made == again and hash(made) == hash(again)
+        assert repr(made) == repr(again)
     # the public constructor still checks every point
     with pytest.raises(ValueError, match=r"point \(1, 2, 3\) does not have dimension 2"):
         PointSet(2, {(1, 2, 3)})

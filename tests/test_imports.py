@@ -1,9 +1,12 @@
-"""No module of the package imports a name that it never uses, and the CLI
-imports only public names of the package.
+"""No module of the package imports a name that it never uses, no private
+name of the package goes unread, and the CLI imports only public names of
+the package.
 
-A stdlib ``ast`` check standing in for a linter's unused-import rule: a
-name bound by an import counts as used if the module reads it anywhere or
-lists it in ``__all__``.
+Stdlib ``ast`` checks standing in for a linter's unused-import and
+dead-code rules: a name bound by an import counts as used if the module
+reads it anywhere or lists it in ``__all__``, and a private def, class or
+module-level name counts as used if some module of the package reads it,
+as a name or as an attribute.
 """
 
 import ast
@@ -60,6 +63,70 @@ def test_the_check_finds_an_unused_import():
     )
     bound = imported_names(tree)
     assert sorted(n for n in bound if n not in used_names(tree)) == ["os"]
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each single-underscore def or class, at any depth, and each
+    single-underscore name a module-level assignment binds, with its line."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node.lineno
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        bound[name.id] = node.lineno
+    return {
+        name: line
+        for name, line in bound.items()
+        if name.startswith("_") and not name.startswith("__")
+    }
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name the module loads, bare or as an attribute of anything."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Each private name some module defines and no module reads."""
+    read = set().union(*map(read_names, trees.values()))
+    return [
+        f"{module} line {line}: {name}"
+        for module, tree in trees.items()
+        for name, line in sorted(private_definitions(tree).items(), key=lambda x: x[1])
+        if name not in read
+    ]
+
+
+def test_every_private_name_is_read_in_the_package():
+    # code that no caller needs is removed, not left private
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert unread_private_names(trees) == []
+
+
+def test_the_check_finds_an_unread_private_name():
+    # a class is read through its name, a method through an attribute; an
+    # import or a new binding is not a read
+    trees = {
+        "a.py": ast.parse(
+            "_LIMIT = 3\n_spare: int = 4\n__all__ = []\n"
+            "class _Box:\n    def _open(self): pass\n    def _shut(self): pass\n"
+            "def _used(): return _LIMIT\n"
+        ),
+        "b.py": ast.parse(
+            "from .a import _Box, _used, _spare\n_Box()._open()\n_used()\n"
+        ),
+    }
+    assert unread_private_names(trees) == ["a.py line 2: _spare", "a.py line 6: _shut"]
 
 
 def private_package_imports(tree: ast.Module) -> list[str]:

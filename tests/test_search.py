@@ -101,7 +101,7 @@ def test_long_chains_of_wide_layers_stay_linear_in_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert block == {(x, y) for x in (0, 1) for y in canonical_segment(1500)}
+    assert block.points == {(x, y) for x in (0, 1) for y in canonical_segment(1500)}
     assert peak < 3_000_000
 
 
@@ -322,7 +322,8 @@ def reference_layer_dp(chain):
     come from a subset test over every layer built, with E and cross
     recounted from king steps rather than read from the chain's tables or
     masks."""
-    points, size = [frozenset(pts) for pts in chain.points], chain.size
+    points = [frozenset(pts) for pts in chain.points]
+    size = list(map(len, points))
     (origin,) = points[0]
     steps = list(itertools.product((-1, 0, 1), repeat=len(origin)))
 
@@ -365,13 +366,12 @@ def reference_walk(chain, k, firsts, keep=None):
     are the layers inside B with at most r points, by a subset test over
     every layer built."""
     heights = [(m + 1) // 2 if m % 2 else -(m // 2) for m in range(k)]
-    layers, size = [], chain.size
-    lifted = []
+    layers, lifted = [], []
     for first in firsts:
         todo = [(0, first, first, k)]
         while todo:
             depth, a, b, r = todo.pop()
-            r -= size[b]
+            r -= len(chain.points[b])
             del lifted[depth:]
             lifted.append([p + (heights[depth],) for p in chain.points[b]])
             if r == 0:
@@ -384,7 +384,7 @@ def reference_walk(chain, k, firsts, keep=None):
                 subs = [
                     c
                     for c in range(len(layers))
-                    if size[c] <= r and layers[c] <= layers[b]
+                    if len(layers[c]) <= r and layers[c] <= layers[b]
                 ]
             todo.extend((depth + 1, b, c, r) for c in subs)
 
@@ -433,7 +433,8 @@ def test_witness_walk_never_asks_keep_at_the_one_point_layer(monkeypatch, n, k, 
         reference_asked.append(b)
         return taken["keep"](a, b, r)
 
-    assert witnesses == list(reference_walk(chain, k, taken["firsts"], keep))
+    expected = list(reference_walk(chain, k, taken["firsts"], keep))
+    assert [ps.points for ps in witnesses] == expected
     assert (0 in reference_asked) == tail
 
 
@@ -443,7 +444,7 @@ def assert_states_match_reference(chain, reference):
     for (b, r), (ways, steps, gains) in chain._states.items():
         assert ways == count(b, r), (b, r)
         assert steps == nexts(b, r), (b, r)
-        expected = [edges(c) + best(b, c, r - chain.size[c]) for c in steps]
+        expected = [edges(c) + best(b, c, r - len(chain.points[c])) for c in steps]
         assert gains == expected, (b, r)
 
 
@@ -462,7 +463,7 @@ def test_pooled_dp_equals_full_range_reference(n, k_max):
 
 @pytest.mark.parametrize("n,k", [(3, 16), (4, 12)])
 def test_each_steps_removal_parent_is_an_earlier_step(n, k):
-    # crosses adds each step's cross onto its parent's in one pass over the
+    # totals adds each step's cross onto its parent's in one pass over the
     # steps, so a step's parent must be {} or a step that comes before it
     chain = kinglattice.search._LayerChain(n, 10**6)
     chain.optimal_sets(k)
@@ -477,22 +478,25 @@ def test_each_steps_removal_parent_is_an_earlier_step(n, k):
 @pytest.mark.parametrize("n,k", [(3, 12), (4, 8)])
 def test_crosses_equal_the_recounted_cross(monkeypatch, n, k):
     # every pass the search makes, for the DP and for the witness walk, gives
-    # each step the cross the reference recounts from king steps
+    # each step the cross the reference recounts from king steps, plus the
+    # step's gain
     chain = kinglattice.search._LayerChain(n, 10**6)
     calls = []
-    real = chain.crosses
+    real = chain.totals
 
-    def recorded(a, steps):
-        got = real(a, steps)
-        calls.append((a, steps, got))
+    def recorded(a, b, r):
+        got = real(a, b, r)
+        calls.append((a, b, r, got))
         return got
 
-    monkeypatch.setattr(chain, "crosses", recorded)
+    monkeypatch.setattr(chain, "totals", recorded)
     chain.optimal_sets(k)
     assert len(calls) > 400
     cross = reference_layer_dp(chain)[4]
-    for a, steps, got in calls:
-        assert got == [cross(a, c) for c in steps], (a, steps)
+    for a, b, r, got in calls:
+        _, steps, gains = chain._states[b, r]
+        expected = [cross(a, c) + gain for c, gain in zip(steps, gains)]
+        assert got == expected, (a, b, r)
 
 
 @pytest.mark.parametrize("n,k_max", [(3, 16), (4, 12)])
@@ -517,7 +521,9 @@ def test_gains_cursor_fills_every_state_children_first(n, k_max):
         assert_states_match_reference(fresh, reference)
         edges, best = reference[2:4]
         firsts = range(fresh.family(k).stop)
-        assert most == max(edges(a) + best(a, a, k - fresh.size[a]) for a in firsts)
+        assert most == max(
+            edges(a) + best(a, a, k - len(fresh.points[a])) for a in firsts
+        )
 
 
 def test_each_dp_state_finds_its_steps_once(monkeypatch):
@@ -635,10 +641,10 @@ def test_oversized_search_is_refused_after_small_layers_only(monkeypatch, capsys
     built = 0
     real = kinglattice.search._LayerChain._add_size
 
-    def counting(self, s):
+    def counting(self):
         nonlocal built
         before = len(self.points)
-        real(self, s)
+        real(self)
         built += len(self.points) - before
 
     monkeypatch.setattr(kinglattice.search._LayerChain, "_add_size", counting)
